@@ -42,7 +42,7 @@ modcheck:
 # cache.
 race:
 	$(GO) test -race -timeout 5m ./...
-	$(GO) test -race -count=1 -timeout 5m ./internal/pipeline ./internal/artifact ./internal/serve ./internal/obs ./internal/journal ./internal/iofault ./internal/sim ./cmd/htload
+	$(GO) test -race -count=1 -timeout 5m ./internal/pipeline ./internal/artifact ./internal/serve ./internal/obs ./internal/journal ./internal/iofault ./internal/sim ./internal/atpg ./internal/compat ./cmd/htload
 
 # Short fuzz smoke: each native fuzz target runs briefly so a parser
 # regression that panics or hangs on malformed input fails the gate.

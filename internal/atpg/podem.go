@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
@@ -73,14 +74,22 @@ const DefaultMaxBacktracks = 4000
 // (backtrace guidance), the topological order, and the
 // distance-to-observation map used to steer D-frontier selection.
 //
+// Implication is event-driven: each run evaluates the target's cone
+// once, and every later implication re-evaluates only the in-cone
+// fanout of the inputs that changed since the previous one, in
+// topological order. Both planes then hold exactly what a full cone
+// evaluation would, so decisions, cubes and verdicts do not depend on
+// the evaluation strategy.
+//
 // An Engine is not safe for concurrent use; create one per goroutine.
 type Engine struct {
 	n        *netlist.Netlist
 	inputs   []netlist.GateID
-	inputPos map[netlist.GateID]int
+	inputPos []int32 // GateID -> position in inputs; -1 for other gates
 	topo     []netlist.GateID
+	topoPos  []int32 // GateID -> position in topo
 	sc       *scoap.Measures
-	obsDist  []int32 // min #gates to an observable net; -1 if none
+	obsDist  []int32 // min #gates to an observable net (0 = observable); -1 if none
 
 	// MaxBacktracks bounds the search; DefaultMaxBacktracks if zero.
 	MaxBacktracks int
@@ -96,7 +105,29 @@ type Engine struct {
 	relev   []bool           // gates relevant to the current target
 	order   []netlist.GateID // topo order restricted to relev
 	obsList []netlist.GateID // observable outputs within relev
-	coneBuf []netlist.GateID // BFS scratch
+	tfo     []netlist.GateID // detect mode: the site's non-source TFO, in topo order
+	coneBuf []netlist.GateID // the cone's gates in discovery order
+	dfsBuf  []netlist.GateID // DFS stack
+	posBits []uint64         // bitset over topo positions, for ordering the cone
+	stack   []decision       // the run's decision stack
+
+	// Event-driven implication state. rank[id] is id's index in order
+	// (valid where relev); dirty is a bitset over ranks holding the
+	// gates scheduled for re-evaluation, swept between the dirtyLo and
+	// dirtyHi words; pending lists the input positions assigned since
+	// the previous implication.
+	rank             []int32
+	dirty            []uint64
+	dirtyLo, dirtyHi int
+	pending          []int32
+
+	// Detect-mode scratch: hasXPath's visit stamps (a gate is visited
+	// in the current search when visit[id] == visitEpoch) and stack,
+	// and dFrontier's result buffer.
+	visit      []uint32
+	visitEpoch uint32
+	xStack     []netlist.GateID
+	frontier   []netlist.GateID
 
 	// Stats accumulates counters across calls.
 	Stats Stats
@@ -122,21 +153,30 @@ func NewEngine(n *netlist.Netlist) (*Engine, error) {
 		return nil, err
 	}
 	inputs := n.CombInputs()
-	pos := make(map[netlist.GateID]int, len(inputs))
-	for i, id := range inputs {
-		pos[id] = i
-	}
 	e := &Engine{
 		n:             n,
 		inputs:        inputs,
-		inputPos:      pos,
+		inputPos:      make([]int32, len(n.Gates)),
 		topo:          topo,
+		topoPos:       make([]int32, len(n.Gates)),
 		sc:            sc,
 		MaxBacktracks: DefaultMaxBacktracks,
 		good:          make([]sim.V3, len(n.Gates)),
 		faulty:        make([]sim.V3, len(n.Gates)),
 		assign:        make([]sim.V3, len(inputs)),
+		relev:         make([]bool, len(n.Gates)),
+		rank:          make([]int32, len(n.Gates)),
+		dirtyHi:       -1,
 		met:           defaultMeters,
+	}
+	for i := range e.inputPos {
+		e.inputPos[i] = -1
+	}
+	for i, id := range inputs {
+		e.inputPos[id] = int32(i)
+	}
+	for i, id := range topo {
+		e.topoPos[id] = int32(i)
 	}
 	e.computeObsDist()
 	return e, nil
@@ -221,9 +261,9 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 	}
 
 	// Trivial case: the target is itself an input.
-	if pos, isInput := e.inputPos[target]; isInput {
+	if pos := e.inputPos[target]; pos >= 0 {
 		cube := NewCube(len(e.inputs))
-		cube.Set(pos, wantV)
+		cube.Set(int(pos), wantV)
 		if !propagate {
 			return cube, Success
 		}
@@ -238,15 +278,16 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 	// makes each implication O(cone) instead of O(circuit).
 	e.prepareCone(target, propagate)
 
-	var stack []decision
+	stack := e.stack[:0]
+	defer func() { e.stack = stack[:0] }()
 	backtracks := 0
 	maxBT := e.MaxBacktracks
 	if maxBT <= 0 {
 		maxBT = DefaultMaxBacktracks
 	}
 
-	for {
-		e.imply(target, stuck, propagate)
+	for full := true; ; full = false {
+		e.imply(target, stuck, propagate, full)
 
 		ok, failed := e.status(target, wantV, propagate)
 		if ok {
@@ -257,7 +298,7 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 			if objNode, objVal, found := e.objective(target, wantV, propagate); found {
 				pos, val := e.backtrace(objNode, objVal)
 				stack = append(stack, decision{pos: pos, val: val})
-				e.assign[pos] = val
+				e.setAssign(pos, val)
 				advanced = true
 			}
 		}
@@ -281,50 +322,146 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 				}
 				top.flipped = true
 				top.val ^= 1
-				e.assign[top.pos] = top.val
+				e.setAssign(top.pos, top.val)
 				break
 			}
-			e.assign[top.pos] = sim.V3X
+			e.setAssign(top.pos, sim.V3X)
 			stack = stack[:len(stack)-1]
 		}
 	}
 }
 
-// imply recomputes the good (and, when propagate, faulty) plane from the
-// current input assignment.
-func (e *Engine) imply(site netlist.GateID, stuck sim.V3, propagate bool) {
+// setAssign assigns input position pos and queues it for the next
+// event-driven implication.
+func (e *Engine) setAssign(pos int, v sim.V3) {
+	e.assign[pos] = v
+	e.pending = append(e.pending, int32(pos))
+}
+
+// imply brings the good (and, when propagate, faulty) plane up to date
+// with the current input assignment. A full implication evaluates the
+// whole cone, as each run's first must; otherwise only gates downstream
+// of the inputs assigned since the previous implication are
+// re-evaluated, and only while their values keep changing.
+func (e *Engine) imply(site netlist.GateID, stuck sim.V3, propagate, full bool) {
 	e.Stats.Implies++
 	e.met.implies.Inc()
-	e.evalPlane(e.good, netlist.InvalidGate, sim.V3X)
-	if propagate {
-		e.evalPlane(e.faulty, site, stuck)
+	pending := e.pending
+	e.pending = pending[:0]
+	if full {
+		e.evalPlane(e.good, netlist.InvalidGate, sim.V3X)
+		if propagate {
+			e.evalPlane(e.faulty, site, stuck)
+		}
+		return
+	}
+	for _, pos := range pending {
+		if id := e.inputs[pos]; e.relev[id] {
+			e.schedule(e.rank[id])
+		}
+	}
+	gates := e.n.Gates
+	for w := e.dirtyLo; w <= e.dirtyHi; w++ {
+		for e.dirty[w] != 0 {
+			b := bits.TrailingZeros64(e.dirty[w])
+			e.dirty[w] &^= 1 << uint(b)
+			id := e.order[w<<6|b]
+			g := &gates[id]
+			var gv, fv sim.V3
+			if pos := e.inputPos[id]; pos >= 0 {
+				gv = e.assign[pos]
+				fv = gv
+			} else {
+				gv = e.evalGate(g, e.good)
+				if propagate {
+					fv = e.evalGate(g, e.faulty)
+				}
+			}
+			changed := gv != e.good[id]
+			e.good[id] = gv
+			if propagate {
+				if id == site {
+					fv = stuck
+				}
+				changed = changed || fv != e.faulty[id]
+				e.faulty[id] = fv
+			}
+			if changed {
+				for _, f := range g.Fanout {
+					// A DFF fanout is a source in the full-scan view: its
+					// value comes from the assignment, not from id.
+					if e.relev[f] && e.inputPos[f] < 0 {
+						e.schedule(e.rank[f])
+					}
+				}
+			}
+		}
+	}
+	e.dirtyLo, e.dirtyHi = len(e.dirty), -1
+}
+
+// schedule marks the cone gate at rank r for re-evaluation. A non-DFF
+// fanout always ranks above the gate feeding it, so the sweep in imply
+// reaches it.
+func (e *Engine) schedule(r int32) {
+	w := int(r >> 6)
+	e.dirty[w] |= 1 << uint(r&63)
+	if w < e.dirtyLo {
+		e.dirtyLo = w
+	}
+	if w > e.dirtyHi {
+		e.dirtyHi = w
 	}
 }
 
 // prepareCone computes the relevant gate set, the restricted evaluation
-// order and the in-cone observable outputs for one PODEM run.
+// order and the in-cone observable outputs for one PODEM run. It
+// touches only the previous and the new cone, never the whole netlist.
 func (e *Engine) prepareCone(target netlist.GateID, propagate bool) {
 	n := e.n
-	if e.relev == nil {
-		e.relev = make([]bool, len(n.Gates))
-	} else {
-		for i := range e.relev {
-			e.relev[i] = false
-		}
+	for _, id := range e.order {
+		e.relev[id] = false
 	}
-	stack := e.coneBuf[:0]
+	cone := e.coneBuf[:0]
+	stack := e.dfsBuf[:0]
+	e.tfo = e.tfo[:0]
 	if propagate {
-		// Seed with the fault's transitive fanout; the reverse closure
-		// below adds every justification cone feeding those paths.
-		tfo := n.TransitiveFanout(target)
-		for i, in := range tfo {
-			if in {
-				e.relev[i] = true
-				stack = append(stack, netlist.GateID(i))
+		// Seed with the fault's transitive fanout (netlist.
+		// TransitiveFanout: the site itself, and DFFs it reaches noted
+		// but not crossed); the reverse closure below adds every
+		// justification cone feeding those paths.
+		stack = append(stack, target)
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if e.relev[id] {
+				continue
+			}
+			e.relev[id] = true
+			cone = append(cone, id)
+			for _, s := range n.Gates[id].Fanout {
+				if n.Gates[s].Type != netlist.DFF {
+					stack = append(stack, s)
+				} else if !e.relev[s] {
+					e.relev[s] = true
+					cone = append(cone, s)
+				}
 			}
 		}
+		// Only TFO gates can carry a D on an input, so the D-frontier
+		// scan walks this subset of the order.
+		e.tfo = e.topoSorted(cone, e.tfo)
+		kept := e.tfo[:0]
+		for _, id := range e.tfo {
+			if t := n.Gates[id].Type; t != netlist.DFF && !t.IsSource() {
+				kept = append(kept, id)
+			}
+		}
+		e.tfo = kept
+		stack = append(stack, cone...)
 	} else {
 		e.relev[target] = true
+		cone = append(cone, target)
 		stack = append(stack, target)
 	}
 	// Reverse closure under fanin (TFI), stopping at combinational
@@ -339,51 +476,79 @@ func (e *Engine) prepareCone(target netlist.GateID, propagate bool) {
 		for _, f := range g.Fanin {
 			if !e.relev[f] {
 				e.relev[f] = true
+				cone = append(cone, f)
 				stack = append(stack, f)
 			}
 		}
 	}
-	e.coneBuf = stack[:0]
+	e.dfsBuf = stack[:0]
+	e.coneBuf = cone[:0]
 
-	e.order = e.order[:0]
-	for _, id := range e.topo {
-		if e.relev[id] {
-			e.order = append(e.order, id)
-		}
-	}
+	// The cone in the whole-netlist topological order: D-frontier scans
+	// break ties in this order.
+	e.order = e.topoSorted(cone, e.order[:0])
 	e.obsList = e.obsList[:0]
-	if propagate {
-		for _, id := range e.n.CombOutputs() {
-			if e.relev[id] {
-				e.obsList = append(e.obsList, id)
-			}
+	for r, id := range e.order {
+		e.rank[id] = int32(r)
+		if propagate && e.obsDist[id] == 0 {
+			e.obsList = append(e.obsList, id)
 		}
 	}
+	if w := (len(e.order) + 63) / 64; len(e.dirty) < w {
+		e.dirty = make([]uint64, w)
+	}
+	e.dirtyLo, e.dirtyHi = len(e.dirty), -1
+}
+
+// topoSorted appends ids (distinct gates) to out in topological order:
+// a bitset over topo positions, swept only between the lowest and the
+// highest word set and left clear again.
+func (e *Engine) topoSorted(ids, out []netlist.GateID) []netlist.GateID {
+	if e.posBits == nil {
+		e.posBits = make([]uint64, (len(e.topo)+63)/64)
+	}
+	lo, hi := len(e.posBits), -1
+	for _, id := range ids {
+		p := e.topoPos[id]
+		w := int(p >> 6)
+		e.posBits[w] |= 1 << uint(p&63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	for w := lo; w <= hi; w++ {
+		for word := e.posBits[w]; word != 0; word &= word - 1 {
+			out = append(out, e.topo[w<<6|bits.TrailingZeros64(word)])
+		}
+		e.posBits[w] = 0
+	}
+	return out
 }
 
 func (e *Engine) evalPlane(vals []sim.V3, site netlist.GateID, sv sim.V3) {
 	gates := e.n.Gates
 	for _, id := range e.order {
-		g := &gates[id]
 		var v sim.V3
-		switch g.Type {
-		case netlist.Input, netlist.DFF:
-			v = e.assign[e.inputPos[id]]
-		default:
-			if cap(e.faninV3) < len(g.Fanin) {
-				e.faninV3 = make([]sim.V3, len(g.Fanin))
-			}
-			in := e.faninV3[:len(g.Fanin)]
-			for i, f := range g.Fanin {
-				in[i] = vals[f]
-			}
-			v = sim.EvalGate3(g.Type, in)
+		if pos := e.inputPos[id]; pos >= 0 {
+			v = e.assign[pos]
+		} else {
+			v = e.evalGate(&gates[id], vals)
 		}
 		if id == site {
 			v = sv
 		}
 		vals[id] = v
 	}
+}
+
+// evalGate evaluates a non-input gate over one plane's fanin values.
+func (e *Engine) evalGate(g *netlist.Gate, vals []sim.V3) sim.V3 {
+	if cap(e.faninV3) < len(g.Fanin) {
+		e.faninV3 = make([]sim.V3, len(g.Fanin))
+	}
+	in := e.faninV3[:len(g.Fanin)]
+	for i, f := range g.Fanin {
+		in[i] = vals[f]
+	}
+	return sim.EvalGate3(g.Type, in)
 }
 
 // status reports whether the objective is met (ok) or provably violated
@@ -423,18 +588,15 @@ func (e *Engine) status(target netlist.GateID, want sim.V3, propagate bool) (ok,
 
 // dFrontier returns gates whose output is still undetermined in at least
 // one plane but which have a propagating D (definite, differing planes)
-// on some input.
+// on some input. The result lives in engine scratch and is valid until
+// the next call.
 func (e *Engine) dFrontier() []netlist.GateID {
-	var out []netlist.GateID
-	for _, id := range e.order {
-		g := &e.n.Gates[id]
-		if g.Type == netlist.DFF || g.Type.IsSource() {
-			continue
-		}
+	out := e.frontier[:0]
+	for _, id := range e.tfo {
 		if e.good[id] != sim.V3X && e.faulty[id] != sim.V3X {
 			continue
 		}
-		for _, f := range g.Fanin {
+		for _, f := range e.n.Gates[id].Fanin {
 			gv, fv := e.good[f], e.faulty[f]
 			if gv != sim.V3X && fv != sim.V3X && gv != fv {
 				out = append(out, id)
@@ -442,6 +604,7 @@ func (e *Engine) dFrontier() []netlist.GateID {
 			}
 		}
 	}
+	e.frontier = out
 	return out
 }
 
@@ -455,23 +618,26 @@ func (e *Engine) hasXPath(site netlist.GateID) bool {
 		// around it.
 		frontier = append(frontier, site)
 	}
-	observable := make(map[netlist.GateID]bool)
-	for _, id := range e.obsList {
-		observable[id] = true
+	if e.visit == nil {
+		e.visit = make([]uint32, len(e.n.Gates))
 	}
-	seen := make([]bool, len(e.n.Gates))
-	var stack []netlist.GateID
-	for _, f := range frontier {
-		stack = append(stack, f)
+	e.visitEpoch++
+	if e.visitEpoch == 0 { // wrapped: stale stamps could alias
+		clear(e.visit)
+		e.visitEpoch = 1
 	}
+	epoch := e.visitEpoch
+	stack := append(e.xStack[:0], frontier...)
+	defer func() { e.xStack = stack[:0] }()
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[id] {
+		if e.visit[id] == epoch {
 			continue
 		}
-		seen[id] = true
-		if observable[id] && (e.good[id] == sim.V3X || e.faulty[id] == sim.V3X ||
+		e.visit[id] = epoch
+		// Observable: a comb output inside the cone (obsList's members).
+		if e.obsDist[id] == 0 && e.relev[id] && (e.good[id] == sim.V3X || e.faulty[id] == sim.V3X ||
 			e.good[id] != e.faulty[id]) {
 			return true
 		}
@@ -546,8 +712,8 @@ func (e *Engine) objective(target netlist.GateID, want sim.V3, propagate bool) (
 func (e *Engine) backtrace(node netlist.GateID, v sim.V3) (int, sim.V3) {
 	n := e.n
 	for {
-		if pos, isInput := e.inputPos[node]; isInput {
-			return pos, v
+		if pos := e.inputPos[node]; pos >= 0 {
+			return int(pos), v
 		}
 		g := &n.Gates[node]
 		switch g.Type {

@@ -182,16 +182,8 @@ func decodePartAdj(d *artifact.Dec, g *Graph) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	pa := &partAdj{
-		groups:        make([][]int32, nGroups),
-		vgroup:        make([]int32, v),
-		vindex:        make([]int32, v),
-		bw:            make([]int32, nGroups),
-		blocks:        make([][]uint64, nGroups),
-		otherMask:     make([][]uint64, nGroups),
-		conflictStart: make([]int32, v+1),
-	}
-	for i := 0; i < v; i++ {
+	vgroup := make([]int32, v)
+	for i := range vgroup {
 		gr := d.Varint()
 		if d.Err() != nil {
 			return d.Err()
@@ -199,24 +191,15 @@ func decodePartAdj(d *artifact.Dec, g *Graph) error {
 		if gr < 0 || gr >= int64(nGroups) {
 			return fmt.Errorf("compat: vertex %d in group %d of %d", i, gr, nGroups)
 		}
-		pa.vgroup[i] = int32(gr)
-		pa.vindex[i] = int32(len(pa.groups[gr]))
-		pa.groups[gr] = append(pa.groups[gr], int32(i))
+		vgroup[i] = int32(gr)
 	}
-	for gr := 0; gr < nGroups; gr++ {
-		m := len(pa.groups[gr])
-		pa.bw[gr] = int32((m + 63) / 64)
-		pa.blocks[gr] = d.Words()
-		if d.Err() == nil && len(pa.blocks[gr]) != m*int(pa.bw[gr]) {
-			return fmt.Errorf("compat: group %d block has %d words, want %d", gr, len(pa.blocks[gr]), m*int(pa.bw[gr]))
+	pa := newPartAdj(vgroup, nGroups, g.words)
+	for gr := range pa.groups {
+		block := d.Words()
+		if d.Err() == nil && len(block) != len(pa.blocks[gr]) {
+			return fmt.Errorf("compat: group %d block has %d words, want %d", gr, len(block), len(pa.blocks[gr]))
 		}
-		mask := make([]uint64, g.words)
-		for j := 0; j < v; j++ {
-			if pa.vgroup[j] != int32(gr) {
-				mask[j/64] |= 1 << uint(j%64)
-			}
-		}
-		pa.otherMask[gr] = mask
+		pa.blocks[gr] = block
 	}
 	prev := int64(0)
 	for i := range pa.conflictStart {

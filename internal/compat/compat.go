@@ -235,70 +235,6 @@ func BuildCubes(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg Build
 	return g, runErr
 }
 
-// ConnectEdges fills in the pairwise compatibility edges, completing a
-// graph started by BuildCubes. Cancellation is checked per adjacency
-// row; an interrupted run leaves the edges found so far in place (every
-// recorded edge is a real compatibility — only completeness suffers)
-// and returns the interrupting error.
-func (g *Graph) ConnectEdges(ctx context.Context, cfg BuildConfig) error {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Partitions > 1 && g.vertPart != nil {
-		return g.connectEdgesPartitioned(ctx, workers)
-	}
-	t1 := time.Now()
-	v := len(g.Nodes)
-	g.words = (v + 63) / 64
-	g.pa = nil
-	g.adj = make([][]uint64, v)
-	for i := range g.adj {
-		g.adj[i] = make([]uint64, g.words)
-	}
-	g.EdgeRowsTotal = 0
-	if v >= 2 {
-		g.EdgeRowsTotal = v - 1
-	}
-	g.EdgeRowsDone = 0
-	var runErr error
-	if workers == 1 {
-		ctxDone := ctx.Done()
-	serial:
-		for i := 0; i < v-1; i++ {
-			select {
-			case <-ctxDone:
-				runErr = ctx.Err()
-				break serial
-			default:
-			}
-			if err := chaos.Hit(stage.GraphEdges, 0); err != nil {
-				runErr = err
-				break serial
-			}
-			for j := i + 1; j < v; j++ {
-				if !g.Cubes[i].Conflicts(g.Cubes[j]) {
-					g.setEdge(i, j)
-				}
-			}
-			g.EdgeRowsDone++
-		}
-	} else {
-		runErr = g.buildEdgesParallel(ctx, workers)
-	}
-	g.EdgeTime = time.Since(t1)
-	met := metersCtx(ctx)
-	met.pairChecks.Add(int64(v) * int64(v-1) / 2)
-	met.vertices.Set(int64(v))
-	met.edges.Set(int64(g.NumEdges()))
-	return runErr
-}
-
-func (g *Graph) setEdge(i, j int) {
-	g.adj[i][j/64] |= 1 << uint(j%64)
-	g.adj[j][i/64] |= 1 << uint(i%64)
-}
-
 // NumVertices returns the vertex count.
 func (g *Graph) NumVertices() int { return len(g.Nodes) }
 

@@ -1,15 +1,21 @@
 package compat
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
+	"cghti/internal/atpg"
 	"cghti/internal/bench"
+	"cghti/internal/chaos"
 	"cghti/internal/gen"
 	"cghti/internal/netlist"
 	"cghti/internal/rare"
 	"cghti/internal/sim"
+	"cghti/internal/stage"
 )
 
 // rareCircuit has several easily characterized rare nodes: deep AND/NOR
@@ -89,20 +95,153 @@ func TestCubesProveThemselves(t *testing.T) {
 	}
 }
 
-func TestEdgesMatchCubeConflicts(t *testing.T) {
-	_, _, g := buildGraph(t, rareCircuit, 0.2)
-	for i := 0; i < g.NumVertices(); i++ {
-		if g.Compatible(i, i) {
-			t.Errorf("self-loop at %d", i)
-		}
-		for j := i + 1; j < g.NumVertices(); j++ {
-			want := !g.Cubes[i].Conflicts(g.Cubes[j])
-			if g.Compatible(i, j) != want {
-				t.Errorf("edge (%d,%d) = %v, cube conflict says %v",
-					i, j, g.Compatible(i, j), want)
+// randomCubes returns v cubes over width inputs with a spread of care
+// densities, all-X cubes included, so the graph has edges and
+// conflicts in every word of the adjacency rows.
+func randomCubes(v, width int, seed int64) []atpg.Cube {
+	rng := rand.New(rand.NewSource(seed))
+	densities := []float64{0, 0.01, 0.05, 0.2}
+	cubes := make([]atpg.Cube, v)
+	for i := range cubes {
+		c := atpg.NewCube(width)
+		d := densities[rng.Intn(len(densities))]
+		for k := 0; k < width; k++ {
+			if rng.Float64() < d {
+				c.Set(k, sim.V3(rng.Intn(2)))
 			}
-			if g.Compatible(i, j) != g.Compatible(j, i) {
-				t.Errorf("adjacency not symmetric at (%d,%d)", i, j)
+		}
+		cubes[i] = c
+	}
+	return cubes
+}
+
+// cubeGraph wraps cubes as an edge-less graph, spreading the vertices
+// over parts sparse partition ids when parts > 1.
+func cubeGraph(cubes []atpg.Cube, parts int) *Graph {
+	g := &Graph{Nodes: make([]rare.Node, len(cubes)), Cubes: cubes}
+	if parts > 1 {
+		g.vertPart = make([]int32, len(cubes))
+		for i := range g.vertPart {
+			g.vertPart[i] = int32(3 * ((i * 7) % parts))
+		}
+	}
+	return g
+}
+
+// checkEdges verifies the adjacency pair by pair against Cube.Conflicts:
+// no self-loops, symmetric, and an edge exactly where the cubes agree
+// (complete) or only where they agree (interrupted).
+func checkEdges(t *testing.T, g *Graph, complete bool) {
+	t.Helper()
+	v := g.NumVertices()
+	buf := make([]uint64, g.words)
+	for i := 0; i < v; i++ {
+		if g.Compatible(i, i) {
+			t.Fatalf("self-loop at %d", i)
+		}
+		for j := i + 1; j < v; j++ {
+			got := g.Compatible(i, j)
+			if got != g.Compatible(j, i) {
+				t.Fatalf("adjacency not symmetric at (%d,%d)", i, j)
+			}
+			want := !g.Cubes[i].Conflicts(g.Cubes[j])
+			if got && !want {
+				t.Fatalf("edge (%d,%d) joins conflicting cubes", i, j)
+			}
+			if complete && got != want {
+				t.Fatalf("edge (%d,%d) = %v, cube conflict says %v", i, j, got, want)
+			}
+		}
+		// The materialized row, which mining reads, agrees bit for bit.
+		row := g.row(i, buf)
+		for j := 0; j < len(row)*64; j++ {
+			set := row[j/64]&(1<<uint(j%64)) != 0
+			if set != (j < v && g.Compatible(i, j)) {
+				t.Fatalf("row %d bit %d = %v, Compatible says otherwise", i, j, set)
+			}
+		}
+	}
+}
+
+func TestEdgesMatchCubeConflicts(t *testing.T) {
+	_, _, crafted := buildGraph(t, rareCircuit, 0.2)
+	allX := make([]atpg.Cube, 70)
+	for i := range allX {
+		allX[i] = atpg.NewCube(130)
+	}
+	mixed := randomCubes(65, 130, 4)
+	mixed[0], mixed[64] = atpg.NewCube(130), atpg.NewCube(130)
+	cases := []struct {
+		name  string
+		cubes []atpg.Cube
+	}{
+		{"crafted", crafted.Cubes},
+		{"v0", nil},
+		{"v1", randomCubes(1, 130, 1)},
+		{"v2", randomCubes(2, 130, 2)},
+		{"v63", randomCubes(63, 130, 3)},
+		{"v64", randomCubes(64, 130, 4)},
+		{"v65", mixed},
+		{"v1000", randomCubes(1000, 200, 5)},
+		{"all-x", allX},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			for _, parts := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/w%d/p%d", tc.name, workers, parts), func(t *testing.T) {
+					g := cubeGraph(tc.cubes, parts)
+					if err := g.ConnectEdges(context.Background(), BuildConfig{Workers: workers, Partitions: parts}); err != nil {
+						t.Fatal(err)
+					}
+					if (g.pa != nil) != (parts > 1) {
+						t.Fatalf("partitioned layout = %v with %d partitions", g.pa != nil, parts)
+					}
+					checkEdges(t, g, true)
+					if g.EdgeRowsDone != g.EdgeRowsTotal {
+						t.Fatalf("clean build reports %d of %d rows", g.EdgeRowsDone, g.EdgeRowsTotal)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestInterruptedEdgesSymmetricAndSound interrupts edge construction
+// in both layouts, by a context cancel and by a chaos hit at
+// graph_edges: whatever rows were computed, every remaining edge is
+// mirrored and a genuine compatibility, and progress reports the
+// build as incomplete.
+func TestInterruptedEdgesSymmetricAndSound(t *testing.T) {
+	cubes := randomCubes(1000, 200, 9)
+	interrupts := map[string]func() (context.Context, func()){
+		"cancel": func() (context.Context, func()) {
+			chaos.Install(chaos.Spec{Stage: stage.GraphEdges, Worker: chaos.AnyWorker, Kind: chaos.Delay, Delay: time.Millisecond})
+			ctx, cancel := context.WithCancel(context.Background())
+			timer := time.AfterFunc(20*time.Millisecond, cancel)
+			return ctx, func() { timer.Stop(); cancel(); chaos.Uninstall() }
+		},
+		"chaos": func() (context.Context, func()) {
+			chaos.Install(chaos.Spec{Stage: stage.GraphEdges, Worker: chaos.AnyWorker, Kind: chaos.Error, OnHit: 300})
+			return context.Background(), chaos.Uninstall
+		},
+	}
+	for name, interrupt := range interrupts {
+		for _, parts := range []int{1, 4} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/p%d/w%d", name, parts, workers), func(t *testing.T) {
+					g := cubeGraph(cubes, parts)
+					ctx, stop := interrupt()
+					err := g.ConnectEdges(ctx, BuildConfig{Workers: workers, Partitions: parts})
+					stop()
+					if err == nil {
+						t.Fatal("interrupted build returned no error")
+					}
+					if g.EdgeRowsDone >= g.EdgeRowsTotal {
+						t.Fatalf("interrupted build reports %d of %d rows", g.EdgeRowsDone, g.EdgeRowsTotal)
+					}
+					checkEdges(t, g, false)
+					t.Logf("%d of %d rows, %d edges kept", g.EdgeRowsDone, g.EdgeRowsTotal, g.NumEdges())
+				})
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"cghti/internal/atpg"
 	"cghti/internal/chaos"
@@ -146,72 +145,3 @@ func (g *Graph) buildCubesParallel(ctx context.Context, n *netlist.Netlist, cand
 // DefaultWorkers reports the worker count used when BuildConfig.Workers
 // is zero.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// buildEdgesParallel fills the bitset adjacency by sharding the
-// upper-triangle pair list row-wise over a worker pool. Workers pull
-// rows from an atomic cursor and record hits into per-worker edge
-// buffers; the buffers are folded into the shared bitsets afterwards,
-// single-threaded. The resulting adjacency is identical to the serial
-// double loop for any worker count — the pair test is pure and bitset
-// unions commute.
-//
-// Workers run under obs.Guard and check ctx per row. On interruption
-// the rows completed so far are still folded in (an edge recorded is an
-// edge verified) and the error is returned.
-func (g *Graph) buildEdgesParallel(ctx context.Context, workers int) error {
-	v := len(g.Nodes)
-	if v < 2 {
-		return nil
-	}
-	type edge struct{ i, j int32 }
-	found := make([][]edge, workers)
-	var cursor atomic.Int64
-	var rowsDone atomic.Int64
-	var runErr error
-	var errOnce sync.Once
-	setErr := func(err error) {
-		if err != nil {
-			errOnce.Do(func() { runErr = err })
-		}
-	}
-	ctxDone := ctx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var local []edge
-			setErr(obs.Guard(stage.GraphEdges, w, func() error {
-				for {
-					select {
-					case <-ctxDone:
-						return ctx.Err()
-					default:
-					}
-					if err := chaos.Hit(stage.GraphEdges, w); err != nil {
-						return err
-					}
-					i := int(cursor.Add(1)) - 1
-					if i >= v-1 {
-						return nil
-					}
-					for j := i + 1; j < v; j++ {
-						if !g.Cubes[i].Conflicts(g.Cubes[j]) {
-							local = append(local, edge{int32(i), int32(j)})
-						}
-					}
-					rowsDone.Add(1)
-				}
-			}))
-			found[w] = local
-		}(w)
-	}
-	wg.Wait()
-	for _, local := range found {
-		for _, e := range local {
-			g.setEdge(int(e.i), int(e.j))
-		}
-	}
-	g.EdgeRowsDone = int(rowsDone.Load())
-	return runErr
-}

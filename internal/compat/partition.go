@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cghti/internal/atpg"
 	"cghti/internal/chaos"
@@ -37,12 +36,13 @@ import (
 // block (cubes over the same cone conflict often — dense pays off);
 // across groups only CONFLICTS are stored, as a sorted per-vertex list
 // (cubes from different cones have near-disjoint input support, so
-// conflicts are the rare case and compatibility is the default). A
-// support-interval test (atpg.CareBounds) skips most cross pairs in
-// O(1). Interruption stays sound in both halves: missing intra bits
-// under-approximate directly, and the complement-coded cross half is
-// gated by crossValid — an incomplete conflict list is never consulted,
-// cross pairs simply report incompatible.
+// conflicts are the rare case and compatibility is the default). Both
+// halves come from the row kernel in edges.go: a vertex's conflict row
+// yields its block row and its cross conflict list at once.
+// Interruption stays sound in both halves: block bits whose other row
+// never ran are cleared, and the complement-coded cross half is gated
+// by crossValid — an incomplete conflict list is never consulted, cross
+// pairs simply report incompatible.
 
 // partAdj is the partitioned adjacency representation.
 type partAdj struct {
@@ -65,6 +65,40 @@ type partAdj struct {
 	conflictStart []int32
 	conflictIdx   []int32
 	crossValid    bool
+}
+
+// newPartAdj lays out the partitioned adjacency of len(vgroup) vertices,
+// vertex i in group vgroup[i] of nGroups: group membership in vertex
+// order, block geometry with zeroed blocks, and the other-group masks
+// (rows of words words). The conflict CSR starts empty and invalid.
+func newPartAdj(vgroup []int32, nGroups, words int) *partAdj {
+	v := len(vgroup)
+	pa := &partAdj{
+		groups:        make([][]int32, nGroups),
+		vgroup:        vgroup,
+		vindex:        make([]int32, v),
+		bw:            make([]int32, nGroups),
+		blocks:        make([][]uint64, nGroups),
+		otherMask:     make([][]uint64, nGroups),
+		conflictStart: make([]int32, v+1),
+	}
+	for i, gr := range vgroup {
+		pa.vindex[i] = int32(len(pa.groups[gr]))
+		pa.groups[gr] = append(pa.groups[gr], int32(i))
+	}
+	for gr, members := range pa.groups {
+		m := len(members)
+		pa.bw[gr] = int32((m + 63) / 64)
+		pa.blocks[gr] = make([]uint64, m*int(pa.bw[gr]))
+		mask := make([]uint64, words)
+		for j, jg := range vgroup {
+			if jg != int32(gr) {
+				mask[j/64] |= 1 << uint(j%64)
+			}
+		}
+		pa.otherMask[gr] = mask
+	}
+	return pa
 }
 
 func (pa *partAdj) blockRow(i int) []uint64 {
@@ -333,224 +367,5 @@ func (g *Graph) buildCubesPartitioned(ctx context.Context, n *netlist.Netlist, c
 		g.Cubes = append(g.Cubes, results[i].cube)
 		g.vertPart = append(g.vertPart, plan.Owner[candidates[i].ID])
 	}
-	return runErr
-}
-
-// connectEdgesPartitioned fills the partitioned adjacency: dense intra-
-// group blocks (work unit: group), then the sparse cross-group conflict
-// pass (work unit: vertex row). Progress units are group blocks plus
-// cross rows. The edge SET equals the dense path's exactly; only the
-// storage differs.
-func (g *Graph) connectEdgesPartitioned(ctx context.Context, workers int) error {
-	t1 := time.Now()
-	v := len(g.Nodes)
-	g.adj = nil
-	g.words = (v + 63) / 64
-
-	// Compact the (possibly sparse) partition ids into dense group
-	// numbers, preserving numeric order.
-	seen := map[int32]bool{}
-	var ids []int32
-	for _, p := range g.vertPart {
-		if !seen[p] {
-			seen[p] = true
-			ids = append(ids, p)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	gid := make(map[int32]int32, len(ids))
-	for i, p := range ids {
-		gid[p] = int32(i)
-	}
-	nGroups := len(ids)
-
-	pa := &partAdj{
-		groups:        make([][]int32, nGroups),
-		vgroup:        make([]int32, v),
-		vindex:        make([]int32, v),
-		bw:            make([]int32, nGroups),
-		blocks:        make([][]uint64, nGroups),
-		otherMask:     make([][]uint64, nGroups),
-		conflictStart: make([]int32, v+1),
-	}
-	for i := 0; i < v; i++ {
-		gr := gid[g.vertPart[i]]
-		pa.vgroup[i] = gr
-		pa.vindex[i] = int32(len(pa.groups[gr]))
-		pa.groups[gr] = append(pa.groups[gr], int32(i))
-	}
-	for gr := 0; gr < nGroups; gr++ {
-		m := len(pa.groups[gr])
-		pa.bw[gr] = int32((m + 63) / 64)
-		pa.blocks[gr] = make([]uint64, m*int(pa.bw[gr]))
-		mask := make([]uint64, g.words)
-		for j := 0; j < v; j++ {
-			if pa.vgroup[j] != int32(gr) {
-				mask[j/64] |= 1 << uint(j%64)
-			}
-		}
-		pa.otherMask[gr] = mask
-	}
-	g.pa = pa
-
-	g.EdgeRowsTotal = nGroups + v
-	g.EdgeRowsDone = 0
-
-	// Support intervals for the O(1) cross-pair skip.
-	type bound struct{ lo, hi int32 }
-	bnd := make([]bound, v)
-	for i := range g.Cubes {
-		lo, hi := g.Cubes[i].CareBounds()
-		bnd[i] = bound{int32(lo), int32(hi)}
-	}
-
-	met := metersCtx(ctx)
-	var runErr error
-	var errOnce sync.Once
-	setErr := func(err error) {
-		if err != nil {
-			errOnce.Do(func() { runErr = err })
-		}
-	}
-	ctxDone := ctx.Done()
-	var unitsDone atomic.Int64
-
-	// Phase 1: intra-group dense blocks. Each group is one work unit —
-	// a single worker owns the whole block, so the symmetric bit pair
-	// needs no synchronization. An interrupted block keeps the rows set
-	// so far; unset bits only hide edges (sound).
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			setErr(obs.Guard(stage.GraphEdges, w, func() error {
-				for {
-					select {
-					case <-ctxDone:
-						return ctx.Err()
-					default:
-					}
-					if err := chaos.Hit(stage.GraphEdges, w); err != nil {
-						return err
-					}
-					gr := int(cursor.Add(1)) - 1
-					if gr >= nGroups {
-						return nil
-					}
-					members := pa.groups[gr]
-					bwg := int(pa.bw[gr])
-					block := pa.blocks[gr]
-					for r := 0; r < len(members); r++ {
-						for q := r + 1; q < len(members); q++ {
-							if !g.Cubes[members[r]].Conflicts(g.Cubes[members[q]]) {
-								block[r*bwg+q/64] |= 1 << uint(q%64)
-								block[q*bwg+r/64] |= 1 << uint(r%64)
-							}
-						}
-					}
-					unitsDone.Add(1)
-				}
-			}))
-		}(w)
-	}
-	wg.Wait()
-
-	// Phase 2: cross-group conflicts. Skipped entirely after a phase-1
-	// error — crossValid stays false and cross pairs report
-	// incompatible, the sound default.
-	if runErr == nil && v > 0 {
-		found := make([][][2]int32, workers)
-		var rowCursor atomic.Int64
-		var rowsDone atomic.Int64
-		var wg2 sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg2.Add(1)
-			go func(w int) {
-				defer wg2.Done()
-				var local [][2]int32
-				setErr(obs.Guard(stage.GraphEdges, w, func() error {
-					for {
-						select {
-						case <-ctxDone:
-							return ctx.Err()
-						default:
-						}
-						if err := chaos.Hit(stage.GraphEdges, w); err != nil {
-							return err
-						}
-						i := int(rowCursor.Add(1)) - 1
-						if i >= v {
-							return nil
-						}
-						bi := bnd[i]
-						if bi.lo >= 0 {
-							gi := pa.vgroup[i]
-							ci := g.Cubes[i]
-							for j := i + 1; j < v; j++ {
-								if pa.vgroup[j] == gi {
-									continue
-								}
-								bj := bnd[j]
-								// Disjoint input support cannot conflict.
-								if bj.lo < 0 || bi.hi < bj.lo || bj.hi < bi.lo {
-									continue
-								}
-								if ci.Conflicts(g.Cubes[j]) {
-									local = append(local, [2]int32{int32(i), int32(j)})
-								}
-							}
-						}
-						rowsDone.Add(1)
-						unitsDone.Add(1)
-					}
-				}))
-				found[w] = local
-			}(w)
-		}
-		wg2.Wait()
-		if runErr == nil && int(rowsDone.Load()) == v {
-			// Fold the per-worker conflict pairs into the symmetric
-			// per-vertex CSR, each list sorted for deterministic
-			// encoding and binary-search lookup.
-			counts := make([]int32, v+1)
-			total := 0
-			for _, local := range found {
-				for _, e := range local {
-					counts[e[0]+1]++
-					counts[e[1]+1]++
-					total += 2
-				}
-			}
-			for i := 0; i < v; i++ {
-				counts[i+1] += counts[i]
-			}
-			copy(pa.conflictStart, counts)
-			pa.conflictIdx = make([]int32, total)
-			fill := make([]int32, v)
-			add := func(a, b int32) {
-				pa.conflictIdx[counts[a]+fill[a]] = b
-				fill[a]++
-			}
-			for _, local := range found {
-				for _, e := range local {
-					add(e[0], e[1])
-					add(e[1], e[0])
-				}
-			}
-			for i := 0; i < v; i++ {
-				lst := pa.conflictIdx[pa.conflictStart[i]:pa.conflictStart[i+1]]
-				sort.Slice(lst, func(a, b int) bool { return lst[a] < lst[b] })
-			}
-			pa.crossValid = true
-		}
-	}
-
-	g.EdgeRowsDone = int(unitsDone.Load())
-	g.EdgeTime = time.Since(t1)
-	met.pairChecks.Add(int64(v) * int64(v-1) / 2)
-	met.vertices.Set(int64(v))
-	met.edges.Set(int64(g.NumEdges()))
 	return runErr
 }

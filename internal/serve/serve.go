@@ -382,7 +382,7 @@ func (s *Server) runJob(j *Job) {
 	j.Started = time.Now()
 	j.Attempts++
 	j.cancel = cancel
-	attempt := j.Attempts
+	attempt, run := j.Attempts, j.run
 	running := s.countRunningLocked()
 	s.mu.Unlock()
 	s.journalAppend(journal.Record{Type: journal.EvStarted, Job: j.ID, Attempt: attempt})
@@ -390,7 +390,7 @@ func (s *Server) runJob(j *Job) {
 	gaugeRunning.Set(running)
 	defer cancel()
 
-	result, err := j.run(ctx, reg, trace, j.feed)
+	result, err := run(ctx, reg, trace, j.feed)
 
 	// Observe the end-to-end latency before snapshotting, so the job's
 	// own report carries it.
@@ -519,6 +519,9 @@ func (s *Server) countRunningLocked() int64 {
 // their idempotency keys: a key outliving its job would dedupe against
 // state the daemon can no longer report.
 func (s *Server) noteFinishedLocked(j *Job) {
+	// A finished job never runs again. Its closure holds the parsed
+	// input netlists, which a retained job must not keep alive.
+	j.run = nil
 	s.finished = append(s.finished, j.ID)
 	s.terminalSince++
 	for len(s.finished) > s.cfg.RetainJobs {

@@ -493,6 +493,15 @@ func TestJobRetention(t *testing.T) {
 			t.Fatalf("job %d (%s) status = %d, want %d", i, id, resp.StatusCode, want)
 		}
 	}
+	// A retained job keeps its result, not its run closure and the
+	// parsed input netlist the closure holds.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id, j := range s.jobs {
+		if j.run != nil {
+			t.Errorf("finished job %s still holds its run closure", id)
+		}
+	}
 }
 
 // TestConcurrentJobHistogramIsolation extends the PR-5 concurrent
