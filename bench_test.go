@@ -8,6 +8,7 @@
 package cghti_test
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -25,6 +26,7 @@ import (
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
 	"cghti/internal/opt"
+	"cghti/internal/pipeline"
 	"cghti/internal/rare"
 	"cghti/internal/sim"
 	"cghti/internal/trojan"
@@ -458,21 +460,43 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 	}
 }
 
-// BenchmarkTriggerInsertion isolates Algorithm 3 (trigger synthesis +
-// netlist splicing) from the analysis stages.
+// BenchmarkTriggerInsertion isolates Algorithm 3: the insert stage as
+// Generate runs it (trigger synthesis, victim choice and splicing of
+// every instance into one base netlist), over cliques precomputed by one
+// Generate — 8 instances on s35932 and 2 on a 10⁵-gate SoC.
 func BenchmarkTriggerInsertion(b *testing.B) {
-	n := benchCircuit(b)
-	res, err := cghti.Generate(n, cghti.Config{RareVectors: 2000, MinTriggerNodes: 8, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	clique := res.Benchmarks[0].Clique
-	nodes := clique.Nodes(res.Graph)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := trojan.InsertInstance(n, nodes, clique.Cube, 0,
-			trojan.InsertSpec{Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		circuit   string
+		instances int
+		cfg       cghti.Config
+	}{
+		{"s35932", 8, cghti.Config{RareVectors: 2000, MinTriggerNodes: 8}},
+		{"soc:100000", 2, cghti.Config{RareVectors: 512, RareThreshold: 0.08, MaxRareNodes: 32, MaxBacktracks: 64, Partitions: 16}},
+	} {
+		b.Run(tc.circuit, func(b *testing.B) {
+			n, err := cghti.Circuit(tc.circuit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := tc.cfg
+			cfg.Instances, cfg.Seed = tc.instances, 1
+			res, err := cghti.Generate(n, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := trojan.NewInsertStage(trojan.InsertSpec{Seed: cfg.Seed}, tc.instances)
+			inputs := []pipeline.Artifact{n, res.Graph, res.Cliques}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := st.Run(context.Background(), &pipeline.Env{}, inputs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := len(out.([]trojan.Inserted)); got != tc.instances {
+					b.Fatalf("inserted %d instances, want %d", got, tc.instances)
+				}
+			}
+		})
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cghti/internal/netlist"
@@ -241,16 +242,23 @@ func parseCall(rhs string) (op string, args []string, err error) {
 // allows forward references).
 func Write(w io.Writer, n *netlist.Netlist) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s\n", n.Name)
-	fmt.Fprintf(bw, "# %d inputs, %d outputs, %d DFF, %d gates\n",
-		len(n.PIs), len(n.POs), len(n.DFFs), n.NumCells())
+	line := func(parts ...string) {
+		for _, p := range parts {
+			bw.WriteString(p)
+		}
+		bw.WriteByte('\n')
+	}
+	itoa := strconv.Itoa
+	line("# ", n.Name)
+	line("# ", itoa(len(n.PIs)), " inputs, ", itoa(len(n.POs)), " outputs, ",
+		itoa(len(n.DFFs)), " DFF, ", itoa(n.NumCells()), " gates")
 	for _, id := range n.PIs {
-		fmt.Fprintf(bw, "INPUT(%s)\n", n.Gates[id].Name)
+		line("INPUT(", n.Gates[id].Name, ")")
 	}
 	for _, id := range n.POs {
-		fmt.Fprintf(bw, "OUTPUT(%s)\n", n.Gates[id].Name)
+		line("OUTPUT(", n.Gates[id].Name, ")")
 	}
-	fmt.Fprintln(bw)
+	line()
 	order, err := n.TopoOrder()
 	if err != nil {
 		// Fall back to declaration order; .bench allows forward refs.
@@ -263,7 +271,7 @@ func Write(w io.Writer, n *netlist.Netlist) error {
 	// assignments; print them first, conventionally.
 	for _, id := range n.DFFs {
 		g := &n.Gates[id]
-		fmt.Fprintf(bw, "%s = DFF(%s)\n", g.Name, n.Gates[g.Fanin[0]].Name)
+		line(g.Name, " = DFF(", n.Gates[g.Fanin[0]].Name, ")")
 	}
 	for _, id := range order {
 		g := &n.Gates[id]
@@ -271,14 +279,20 @@ func Write(w io.Writer, n *netlist.Netlist) error {
 		case netlist.Input, netlist.DFF:
 			continue
 		case netlist.Const0, netlist.Const1:
-			fmt.Fprintf(bw, "%s = %s()\n", g.Name, g.Type)
+			line(g.Name, " = ", g.Type.String(), "()")
 			continue
 		}
-		names := make([]string, len(g.Fanin))
+		bw.WriteString(g.Name)
+		bw.WriteString(" = ")
+		bw.WriteString(g.Type.String())
+		bw.WriteByte('(')
 		for i, f := range g.Fanin {
-			names[i] = n.Gates[f].Name
+			if i > 0 {
+				bw.WriteString(", ")
+			}
+			bw.WriteString(n.Gates[f].Name)
 		}
-		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, g.Type, strings.Join(names, ", "))
+		bw.WriteString(")\n")
 	}
 	return bw.Flush()
 }

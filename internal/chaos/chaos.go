@@ -3,9 +3,10 @@
 // at the top of each unit of work; with no injector installed (the
 // production state) that costs one atomic load and a nil check, the
 // same obs-style always-compiled-in pattern the counters use. Tests
-// install an Injector to force a panic, a delay, or an error at an
-// exact stage + worker + hit count, which is how the cancellation,
-// deadline, and panic-containment paths are driven under -race.
+// install an Injector to force a panic, a delay, an error, or a call
+// back into the test at an exact stage + worker + hit count, which is
+// how the cancellation, deadline, and panic-containment paths are
+// driven under -race.
 package chaos
 
 import (
@@ -27,6 +28,11 @@ const (
 	Delay
 	// Error makes Hit return Spec.Err.
 	Error
+	// Call makes Hit run Spec.Fn and carry on: the test acts at the
+	// exact point a stage reaches its instrumented loop (cancelling a
+	// context from inside the stage, say) instead of racing it with a
+	// timer.
+	Call
 )
 
 // String names the kind.
@@ -38,6 +44,8 @@ func (k Kind) String() string {
 		return "delay"
 	case Error:
 		return "error"
+	case Call:
+		return "call"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -55,6 +63,8 @@ type Spec struct {
 	Delay time.Duration
 	// Err is returned for Kind == Error (defaults to a generic error).
 	Err error
+	// Fn is run for Kind == Call.
+	Fn func()
 	// OnHit fires the action only on the OnHit-th matching call
 	// (1-based); 0 fires on every matching call.
 	OnHit int
@@ -99,8 +109,9 @@ func Install(specs ...Spec) {
 func Uninstall() { active.Store(nil) }
 
 // Hit is the instrumentation point: worker loops call it once per unit
-// of work. It returns a non-nil error, panics, or sleeps when an
-// installed Spec matches, and is free when no injector is installed.
+// of work. It returns a non-nil error, panics, sleeps, or calls back
+// when an installed Spec matches, and is free when no injector is
+// installed.
 func Hit(stage string, worker int) error {
 	in := active.Load()
 	if in == nil {
@@ -127,6 +138,8 @@ func Hit(stage string, worker int) error {
 				return r.spec.Err
 			}
 			return &Injected{Stage: stage, Worker: worker, Hit: n}
+		case Call:
+			r.spec.Fn()
 		}
 	}
 	return nil

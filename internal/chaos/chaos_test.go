@@ -95,6 +95,23 @@ func TestDelayInjection(t *testing.T) {
 	}
 }
 
+func TestCallInjection(t *testing.T) {
+	calls := 0
+	Install(Spec{Stage: "s", Worker: AnyWorker, Kind: Call, Fn: func() { calls++ }, OnHit: 2})
+	defer Uninstall()
+	for i := 1; i <= 3; i++ {
+		if err := Hit("s", 0); err != nil {
+			t.Fatalf("hit %d returned %v", i, err)
+		}
+		if want := map[bool]int{true: 1, false: 0}[i >= 2]; calls != want {
+			t.Fatalf("after hit %d Fn ran %d times, want %d", i, calls, want)
+		}
+	}
+	if Call.String() != "call" {
+		t.Fatalf("Call.String() = %q", Call.String())
+	}
+}
+
 // TestConcurrentHits exercises the per-rule hit counter from many
 // goroutines so the race detector can vet the atomics: exactly one of
 // N concurrent hits must fire an OnHit rule.

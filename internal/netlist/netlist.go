@@ -354,20 +354,44 @@ func (n *Netlist) invalidate() {
 }
 
 // Clone returns a deep copy of the netlist.
-func (n *Netlist) Clone() *Netlist {
+func (n *Netlist) Clone() *Netlist { return n.CloneGrow(0) }
+
+// CloneGrow returns a deep copy of the netlist with room reserved for
+// extra more gates (and their names), so adding them reallocates
+// neither the gate array nor the name index. Every gate's fanin and
+// fanout lists are copied into one shared slab, each capped at its own
+// length so a later append moves that list out instead of overwriting
+// its neighbour; empty lists stay nil. The copy therefore allocates a
+// fixed number of objects however many gates it has, apart from the
+// name index.
+func (n *Netlist) CloneGrow(extra int) *Netlist {
 	c := &Netlist{
 		Name:      n.Name,
-		Gates:     make([]Gate, len(n.Gates)),
+		Gates:     make([]Gate, len(n.Gates), len(n.Gates)+extra),
 		PIs:       append([]GateID(nil), n.PIs...),
 		POs:       append([]GateID(nil), n.POs...),
 		DFFs:      append([]GateID(nil), n.DFFs...),
-		byName:    make(map[string]GateID, len(n.byName)),
+		byName:    make(map[string]GateID, len(n.byName)+extra),
 		levelized: n.levelized,
+	}
+	edges := 0
+	for i := range n.Gates {
+		edges += len(n.Gates[i].Fanin) + len(n.Gates[i].Fanout)
+	}
+	slab := make([]GateID, edges)
+	take := func(ids []GateID) []GateID {
+		if len(ids) == 0 {
+			return nil
+		}
+		k := copy(slab, ids)
+		out := slab[:k:k]
+		slab = slab[k:]
+		return out
 	}
 	for i := range n.Gates {
 		g := n.Gates[i]
-		g.Fanin = append([]GateID(nil), g.Fanin...)
-		g.Fanout = append([]GateID(nil), g.Fanout...)
+		g.Fanin = take(g.Fanin)
+		g.Fanout = take(g.Fanout)
 		c.Gates[i] = g
 	}
 	for k, v := range n.byName {

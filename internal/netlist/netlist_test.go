@@ -177,6 +177,57 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestCloneAllocs pins Clone's allocation count: the fanin and fanout
+// lists share one slab, so a copy allocates a fixed number of objects
+// (netlist, gate array, PI/PO lists, slab, topo order, name index)
+// however many gates there are — both chains below fit one name-index
+// table. Every list must equal the original with no spare capacity, and
+// empty lists must stay nil.
+func TestCloneAllocs(t *testing.T) {
+	allocs := func(n *Netlist) float64 {
+		if err := n.Levelize(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { n.Clone() })
+	}
+	small, large := allocs(chainNetlist(40)), allocs(chainNetlist(800))
+	if small != large || large > 12 {
+		t.Fatalf("Clone allocates %.0f objects for 41 gates and %.0f for 801; want the same count, at most 12", small, large)
+	}
+
+	n := chainNetlist(50) // the input has no fanin, the last gate no fanout
+	c := n.CloneGrow(3)
+	if cap(c.Gates) < len(c.Gates)+3 {
+		t.Fatalf("CloneGrow(3) left capacity for %d more gates", cap(c.Gates)-len(c.Gates))
+	}
+	for i := range n.Gates {
+		og, cg := &n.Gates[i], &c.Gates[i]
+		for _, l := range [][2][]GateID{{og.Fanin, cg.Fanin}, {og.Fanout, cg.Fanout}} {
+			if len(l[0]) == 0 {
+				if l[1] != nil {
+					t.Fatalf("gate %s: empty list copied as non-nil", og.Name)
+				}
+				continue
+			}
+			if len(l[1]) != len(l[0]) || cap(l[1]) != len(l[1]) {
+				t.Fatalf("gate %s: list len %d cap %d, want len %d with no spare capacity",
+					og.Name, len(l[1]), cap(l[1]), len(l[0]))
+			}
+			for j := range l[0] {
+				if l[0][j] != l[1][j] {
+					t.Fatalf("gate %s: list differs from the original", og.Name)
+				}
+			}
+		}
+	}
+	// Appending to one list must not overwrite its slab neighbour.
+	extra := c.MustAddGate("extra", Or)
+	c.Connect(1, extra)
+	if err := c.Validate(); err != nil {
+		t.Fatalf("clone invalid after growing a slab list: %v", err)
+	}
+}
+
 func TestValidateCatchesArity(t *testing.T) {
 	n := New("bad")
 	n.MustAddGate("a", Input)

@@ -50,6 +50,51 @@ func EvalGate(t netlist.GateType, in []uint8) uint8 {
 	panic(fmt.Sprintf("sim: EvalGate on %v", t))
 }
 
+// EvalWord is EvalGate over up to 64 patterns at once: bit i of every
+// word is pattern i, and the gate's fanin values are read from vals by
+// GateID. It suits callers that simulate a few patterns of one netlist
+// without compiling a Program for it.
+func EvalWord(t netlist.GateType, fanin []netlist.GateID, vals []uint64) uint64 {
+	switch t {
+	case netlist.Const0:
+		return 0
+	case netlist.Const1:
+		return ^uint64(0)
+	case netlist.Buf, netlist.DFF:
+		return vals[fanin[0]]
+	case netlist.Not:
+		return ^vals[fanin[0]]
+	case netlist.And, netlist.Nand:
+		acc := ^uint64(0)
+		for _, f := range fanin {
+			acc &= vals[f]
+		}
+		if t == netlist.Nand {
+			acc = ^acc
+		}
+		return acc
+	case netlist.Or, netlist.Nor:
+		acc := uint64(0)
+		for _, f := range fanin {
+			acc |= vals[f]
+		}
+		if t == netlist.Nor {
+			acc = ^acc
+		}
+		return acc
+	case netlist.Xor, netlist.Xnor:
+		acc := uint64(0)
+		for _, f := range fanin {
+			acc ^= vals[f]
+		}
+		if t == netlist.Xnor {
+			acc = ^acc
+		}
+		return acc
+	}
+	panic(fmt.Sprintf("sim: EvalWord on %v", t))
+}
+
 // Eval runs a scalar two-valued simulation. inputs maps every
 // combinational input (PI and DFF) ID to its value; the returned slice
 // holds the value of every gate, indexed by GateID.

@@ -68,6 +68,51 @@ func TestEvalGateTruthTables(t *testing.T) {
 	}
 }
 
+// TestEvalWordMatchesEvalGate checks EvalWord lane by lane against
+// EvalGate for every gate type with a function, over arities 1–5 and
+// random words.
+func TestEvalWordMatchesEvalGate(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	types := []netlist.GateType{netlist.Buf, netlist.DFF, netlist.Not, netlist.And, netlist.Nand,
+		netlist.Or, netlist.Nor, netlist.Xor, netlist.Xnor, netlist.Const0, netlist.Const1}
+	vals := make([]uint64, 8)
+	for _, typ := range types {
+		for arity := 1; arity <= 5; arity++ {
+			switch typ {
+			case netlist.Buf, netlist.DFF, netlist.Not:
+				if arity > 1 {
+					continue
+				}
+			case netlist.Const0, netlist.Const1:
+				arity = 0
+			}
+			for trial := 0; trial < 8; trial++ {
+				fanin := make([]netlist.GateID, arity)
+				for i := range fanin {
+					// Repeated fanins included, as in AND(a, a).
+					fanin[i] = netlist.GateID(rng.Intn(len(vals)))
+				}
+				for i := range vals {
+					vals[i] = rng.Uint64()
+				}
+				w := EvalWord(typ, fanin, vals)
+				in := make([]uint8, arity)
+				for lane := 0; lane < 64; lane++ {
+					for i, f := range fanin {
+						in[i] = uint8(vals[f] >> lane & 1)
+					}
+					if got, want := uint8(w>>lane&1), EvalGate(typ, in); got != want {
+						t.Fatalf("%v%v lane %d: EvalWord bit %d, EvalGate %d", typ, fanin, lane, got, want)
+					}
+				}
+			}
+			if arity == 0 {
+				break
+			}
+		}
+	}
+}
+
 func TestEvalC17KnownVector(t *testing.T) {
 	n := mkC17(t)
 	// All-ones input: 10=NAND(1,1)=0, 11=0, 16=NAND(1,0)=1, 19=1,

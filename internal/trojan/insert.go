@@ -115,11 +115,68 @@ func InsertInstance(n *netlist.Netlist, nodes []rare.Node, cube atpg.Cube, index
 }
 
 // InsertInstanceContext is InsertInstance with cooperative cancellation,
-// checked between victim-candidate trials (each trial clones and
-// re-levelizes the netlist — the expensive part of insertion). On
-// cancellation it returns ctx's error; there is no partial result, an
-// instance either splices completely or not at all.
+// checked before each victim candidate is tried. On cancellation it
+// returns ctx's error; there is no partial result, an instance either
+// splices completely or not at all.
 func InsertInstanceContext(ctx context.Context, n *netlist.Netlist, nodes []rare.Node, cube atpg.Cube, index int, spec InsertSpec) (*netlist.Netlist, *Instance, error) {
+	in, err := newInserter(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	return in.insert(ctx, nodes, cube, index, spec)
+}
+
+// inserter splices trojan instances into one golden netlist. It holds
+// what every instance shares — SCOAP observability, the topological
+// order and each gate's place in it, the combinational inputs and
+// outputs — plus word and walk scratch, so an instance costs one copy
+// and one levelization of the netlist however many victim candidates
+// it tries. An inserter is not safe for concurrent use, and its base
+// netlist must not change while the inserter is in use.
+type inserter struct {
+	base    *netlist.Netlist
+	co      []int64          // SCOAP CO, indexed by GateID
+	topo    []netlist.GateID // the base's topological order
+	pos     []int32          // each gate's index in topo
+	inputs  []netlist.GateID // combinational inputs, in cube order
+	outputs []netlist.GateID // combinational outputs
+	words   []uint64         // one 16-lane word per gate of the instance netlist
+	golden  []uint64         // golden words of outputs
+	reach   []uint32         // reach[v] == epoch: a trigger node is in v's fanout
+	epoch   uint32
+	stack   []netlist.GateID
+}
+
+// newInserter analyzes base for instance insertion, levelizing it if
+// needed.
+func newInserter(base *netlist.Netlist) (*inserter, error) {
+	m, err := scoap.Compute(base)
+	if err != nil {
+		return nil, err
+	}
+	topo, err := base.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	pos := make([]int32, len(base.Gates))
+	for i, id := range topo {
+		pos[id] = int32(i)
+	}
+	outputs := base.CombOutputs()
+	return &inserter{
+		base:    base,
+		co:      m.CO,
+		topo:    topo,
+		pos:     pos,
+		inputs:  base.CombInputs(),
+		outputs: outputs,
+		golden:  make([]uint64, len(outputs)),
+		reach:   make([]uint32, len(base.Gates)),
+	}, nil
+}
+
+// insert is InsertInstanceContext on the inserter's base netlist.
+func (in *inserter) insert(ctx context.Context, nodes []rare.Node, cube atpg.Cube, index int, spec InsertSpec) (*netlist.Netlist, *Instance, error) {
 	spec = spec.withDefaults()
 	if len(nodes) == 0 {
 		return nil, nil, fmt.Errorf("trojan: empty trigger-node set")
@@ -135,7 +192,8 @@ func InsertInstanceContext(ctx context.Context, n *netlist.Netlist, nodes []rare
 		return nil, nil, err
 	}
 
-	out := n.Clone()
+	n := in.base
+	out := n.CloneGrow(len(trig.Gates) + 1) // + payload
 	out.Name = fmt.Sprintf("%s_%s%d", n.Name, spec.Prefix, index)
 	inst := &Instance{
 		Index:   index,
@@ -144,16 +202,62 @@ func InsertInstanceContext(ctx context.Context, n *netlist.Netlist, nodes []rare
 		Cube:    cube,
 	}
 	prefix := fmt.Sprintf("%s%d_", spec.Prefix, index)
+	trigOut, err := addTrigger(out, inst, trig, prefix)
+	if err != nil {
+		return nil, nil, err
+	}
 
-	// Materialize trigger gates bottom-up (children have smaller proto
-	// indices, so a forward scan over t.Gates sees children first).
+	// Choose a victim net: loop-safe (no trigger node in its transitive
+	// fanout), observable, and — when the activation cube is known —
+	// spot-checked so the payload's effect actually reaches an output
+	// under the activation condition. Without that last check a trigger
+	// condition deep in the victim's own cone can mask the flip on every
+	// activating vector, producing a functional no-op "trojan" (TC > 0
+	// but DC ≡ 0). The checks run on the golden netlist; the first
+	// candidate is the fallback if none passes.
+	rng := rand.New(rand.NewSource(spec.Seed ^ (int64(index)+1)*0x517cc1b727220a95))
+	candidates, err := in.victimCandidates(nodes, spec, rng, 8)
+	if err != nil {
+		return nil, nil, err
+	}
+	ptype := payloadType(spec.Payload, trig.Spec.ActivationValue() == 1)
+	spotCheck := spec.Payload != PayloadLeakToOutput && cube.Len() != 0 && cube.CareCount() != 0
+	victim := candidates[0]
+	ctxDone := ctx.Done()
+	for _, v := range candidates {
+		select {
+		case <-ctxDone:
+			return nil, nil, ctx.Err()
+		default:
+		}
+		if err := chaos.Hit(stage.Insert, 0); err != nil {
+			return nil, nil, err
+		}
+		if !spotCheck || in.observable(out, v, trigOut, ptype, cube, rng) {
+			victim = v
+			break
+		}
+	}
+	if err := wirePayload(out, inst, victim, trigOut, ptype, prefix, spec.Payload); err != nil {
+		return nil, nil, err
+	}
+	if err := out.Levelize(); err != nil {
+		return nil, nil, fmt.Errorf("trojan: insertion created a cycle: %w", err)
+	}
+	return out, inst, nil
+}
+
+// addTrigger materializes the trigger gates in out bottom-up (children
+// have smaller proto indices, so a forward scan over trig.Gates sees
+// children first), records them on inst and returns the trigger output.
+func addTrigger(out *netlist.Netlist, inst *Instance, trig *Trigger, prefix string) (netlist.GateID, error) {
 	gateIDs := make([]netlist.GateID, len(trig.Gates))
 	for i := range trig.Gates {
 		tg := &trig.Gates[i]
 		name := fmt.Sprintf("%strig%d", prefix, i)
 		id, err := out.AddGate(name, tg.Type)
 		if err != nil {
-			return nil, nil, err
+			return netlist.InvalidGate, err
 		}
 		inst.AddedGates = append(inst.AddedGates, name)
 		for _, leaf := range tg.LeafInputs {
@@ -166,81 +270,29 @@ func InsertInstanceContext(ctx context.Context, n *netlist.Netlist, nodes []rare
 	}
 	trigOut := gateIDs[trig.Root]
 	inst.TriggerOut = out.Gates[trigOut].Name
+	return trigOut, nil
+}
 
-	// Choose a victim net: loop-safe (no trigger node in its transitive
-	// fanout), observable, and — when the activation cube is known —
-	// spot-checked so the payload's effect actually reaches an output
-	// under the activation condition. Without that last check a trigger
-	// condition deep in the victim's own cone can mask the flip on every
-	// activating vector, producing a functional no-op "trojan" (TC > 0
-	// but DC ≡ 0).
-	rng := rand.New(rand.NewSource(spec.Seed ^ (int64(index)+1)*0x517cc1b727220a95))
-	candidates, err := victimCandidates(n, nodes, spec, rng, 8)
-	if err != nil {
-		return nil, nil, err
+// payloadType picks the payload cell so the idle trigger value passes
+// the victim through unchanged: XOR/XNOR invert on activation
+// (flip/leak), OR/AND jam to a constant on activation (force). Its
+// inputs are the victim, then the trigger output.
+func payloadType(kind PayloadKind, activeHigh bool) netlist.GateType {
+	switch {
+	case kind == PayloadForce && activeHigh:
+		return netlist.Or
+	case kind == PayloadForce:
+		return netlist.And
+	case activeHigh:
+		return netlist.Xor
 	}
-	var (
-		best     *netlist.Netlist
-		bestInst Instance
-	)
-	ctxDone := ctx.Done()
-	for _, victim := range candidates {
-		select {
-		case <-ctxDone:
-			return nil, nil, ctx.Err()
-		default:
-		}
-		if err := chaos.Hit(stage.Insert, 0); err != nil {
-			return nil, nil, err
-		}
-		trial := out.Clone()
-		trialInst := *inst
-		if err := wirePayload(trial, &trialInst, trig, victim, trigOut, prefix, spec); err != nil {
-			return nil, nil, err
-		}
-		if err := trial.Levelize(); err != nil {
-			return nil, nil, fmt.Errorf("trojan: insertion created a cycle: %w", err)
-		}
-		if best == nil {
-			// Fallback if every candidate fails the spot-check below.
-			best, bestInst = trial, trialInst
-		}
-		if spec.Payload == PayloadLeakToOutput || cube.Len() == 0 || cube.CareCount() == 0 ||
-			payloadObservable(n, trial, &trialInst, cube, rng) {
-			best, bestInst = trial, trialInst
-			break
-		}
-	}
-	if best == nil {
-		return nil, nil, fmt.Errorf("trojan: no loop-safe victim net exists")
-	}
-	*inst = bestInst
-	return best, inst, nil
+	return netlist.Xnor
 }
 
 // wirePayload splices the payload gate for the chosen victim into out.
-func wirePayload(out *netlist.Netlist, inst *Instance, trig *Trigger, victim, trigOut netlist.GateID, prefix string, spec InsertSpec) error {
+func wirePayload(out *netlist.Netlist, inst *Instance, victim, trigOut netlist.GateID, ptype netlist.GateType, prefix string, kind PayloadKind) error {
 	inst.Victim = out.Gates[victim].Name
 	payloadName := prefix + "payload"
-	// Pick the payload cell so the idle trigger value passes the victim
-	// through unchanged: XOR/XNOR invert on activation (flip/leak),
-	// OR/AND jam to a constant on activation (force).
-	activeHigh := trig.Spec.ActivationValue() == 1
-	var ptype netlist.GateType
-	switch spec.Payload {
-	case PayloadForce:
-		if activeHigh {
-			ptype = netlist.Or
-		} else {
-			ptype = netlist.And
-		}
-	default:
-		if activeHigh {
-			ptype = netlist.Xor
-		} else {
-			ptype = netlist.Xnor
-		}
-	}
 	payload, err := out.AddGate(payloadName, ptype)
 	if err != nil {
 		return err
@@ -248,7 +300,7 @@ func wirePayload(out *netlist.Netlist, inst *Instance, trig *Trigger, victim, tr
 	inst.PayloadGate = payloadName
 	inst.AddedGates = append(inst.AddedGates, payloadName)
 
-	switch spec.Payload {
+	switch kind {
 	case PayloadFlip, PayloadForce:
 		// Steal the victim's fanouts, then feed the payload from the
 		// victim and the trigger.
@@ -270,84 +322,139 @@ func wirePayload(out *netlist.Netlist, inst *Instance, trig *Trigger, victim, tr
 		out.Connect(trigOut, payload)
 		out.MarkPO(payload)
 	default:
-		return fmt.Errorf("trojan: unknown payload kind %v", spec.Payload)
+		return fmt.Errorf("trojan: unknown payload kind %v", kind)
 	}
 	return nil
 }
 
-// payloadObservable simulates a handful of activating vectors (random
-// completions of the cube) and reports whether any produces an output
-// difference against the golden netlist.
-func payloadObservable(golden, infected *netlist.Netlist, inst *Instance, cube atpg.Cube, rng *rand.Rand) bool {
-	inputs := golden.CombInputs()
-	goldenOuts := golden.CombOutputs()
-	infectedOuts := infected.CombOutputs()
-	in := make(map[netlist.GateID]uint8, len(inputs))
-	for trial := 0; trial < 16; trial++ {
+// spotLanes is how many random completions of the activation cube the
+// observability spot-check simulates per victim candidate, one word
+// lane each.
+const spotLanes = 16
+
+// observable reports whether a payload of type ptype on victim v
+// changes a combinational output of the base netlist under any of the
+// next spotLanes random completions of cube drawn from rng (whole
+// fills, in Cube.Fill order). The fills ride as lanes of one word: a
+// golden pass over the base netlist, the trigger tree of out (the
+// instance netlist before its payload is wired) over the golden words,
+// then a pass from v onward in which every reader of v — fanouts, PO
+// marker, DFF data input — sees the payload word. v must be loop-safe,
+// so the trigger nodes keep their golden values.
+func (in *inserter) observable(out *netlist.Netlist, v, trigOut netlist.GateID, ptype netlist.GateType, cube atpg.Cube, rng *rand.Rand) bool {
+	if cap(in.words) < len(out.Gates) {
+		in.words = make([]uint64, len(out.Gates))
+	}
+	w := in.words[:len(out.Gates)]
+	for _, id := range in.inputs {
+		w[id] = 0
+	}
+	for lane := 0; lane < spotLanes; lane++ {
 		filled := cube.Fill(rng)
-		for i, id := range inputs {
+		for i, id := range in.inputs {
 			if filled[i] {
-				in[id] = 1
-			} else {
-				in[id] = 0
+				w[id] |= 1 << lane
 			}
 		}
-		gv, err := sim.Eval(golden, in)
-		if err != nil {
-			return false
-		}
-		iv, err := sim.Eval(infected, in)
-		if err != nil {
-			return false
-		}
-		for i := range goldenOuts {
-			if gv[goldenOuts[i]] != iv[infectedOuts[i]] {
-				return true
+	}
+	gates := in.base.Gates
+	eval := func(order []netlist.GateID) {
+		for _, id := range order {
+			if g := &gates[id]; g.Type != netlist.Input && g.Type != netlist.DFF {
+				w[id] = sim.EvalWord(g.Type, g.Fanin, w)
 			}
+		}
+	}
+	eval(in.topo)
+	for i, o := range in.outputs {
+		in.golden[i] = w[o]
+	}
+	for id := len(gates); id < len(out.Gates); id++ {
+		w[id] = sim.EvalWord(out.Gates[id].Type, out.Gates[id].Fanin, w)
+	}
+	w[v] = sim.EvalWord(ptype, []netlist.GateID{v, trigOut}, w)
+	eval(in.topo[in.pos[v]+1:])
+	const mask = 1<<spotLanes - 1
+	for i, o := range in.outputs {
+		if (in.golden[i]^w[o])&mask != 0 {
+			return true
 		}
 	}
 	return false
 }
 
-// victimCandidates returns up to max victim nets to try, each loop-safe
-// (no trigger node in its transitive fanout) and observable (finite
-// SCOAP CO). A pinned spec.Victim is validated and returned alone.
-func victimCandidates(orig *netlist.Netlist, nodes []rare.Node, spec InsertSpec, rng *rand.Rand, max int) ([]netlist.GateID, error) {
+// markTriggerFanin stamps every gate that has a trigger node in its
+// transitive fanout as TransitiveFanout defines it: paths run forward
+// through combinational gates and may end on a DFF but not cross one.
+// One reverse walk over the trigger nodes' combinational fanin finds
+// them all; a DFF trigger node adds its data fanin, since a path ends
+// there.
+func (in *inserter) markTriggerFanin(nodes []rare.Node) {
+	in.epoch++
+	if in.epoch == 0 {
+		clear(in.reach)
+		in.epoch = 1
+	}
+	gates := in.base.Gates
+	stack := in.stack[:0]
+	push := func(fanin []netlist.GateID) {
+		for _, f := range fanin {
+			if in.reach[f] != in.epoch {
+				in.reach[f] = in.epoch
+				stack = append(stack, f)
+			}
+		}
+	}
+	for _, nd := range nodes {
+		in.reach[nd.ID] = in.epoch
+	}
+	for _, nd := range nodes {
+		push(gates[nd.ID].Fanin)
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if gates[id].Type != netlist.DFF {
+			push(gates[id].Fanin)
+		}
+	}
+	in.stack = stack
+}
+
+// usable reports whether v can carry a payload at all: a driven net
+// that is not a source, DFF or trigger node and is structurally
+// observable (finite SCOAP CO; otherwise the payload is a no-op).
+func (in *inserter) usable(v netlist.GateID, trigSet map[netlist.GateID]bool) bool {
+	g := &in.base.Gates[v]
+	if g.Type == netlist.DFF || g.Type.IsSource() || trigSet[v] {
+		return false
+	}
+	if len(g.Fanout) == 0 && !g.IsPO {
+		return false
+	}
+	return in.co[v] < scoap.Inf
+}
+
+// loopSafe reports whether no trigger node of the last
+// markTriggerFanin call lies in v's transitive fanout.
+func (in *inserter) loopSafe(v netlist.GateID) bool { return in.reach[v] != in.epoch }
+
+// victimCandidates returns up to max victim nets to try, each usable
+// and, unless the payload only leaks to a new PO (no functional
+// rewiring), loop-safe. A pinned spec.Victim is validated and returned
+// alone.
+func (in *inserter) victimCandidates(nodes []rare.Node, spec InsertSpec, rng *rand.Rand, max int) ([]netlist.GateID, error) {
+	orig := in.base
 	trigSet := make(map[netlist.GateID]bool, len(nodes))
 	for _, nd := range nodes {
 		trigSet[nd.ID] = true
 	}
-	measures, err := scoap.Compute(orig)
-	if err != nil {
-		return nil, err
+	leak := spec.Payload == PayloadLeakToOutput
+	if !leak {
+		in.markTriggerFanin(nodes)
 	}
-	loopSafe := func(v netlist.GateID) bool {
-		if spec.Payload == PayloadLeakToOutput {
-			return true // new PO only; no functional rewiring
-		}
-		tfo := orig.TransitiveFanout(v)
-		for id := range trigSet {
-			if tfo[id] {
-				return false
-			}
-		}
-		return true
-	}
-	usable := func(v netlist.GateID) bool {
-		g := &orig.Gates[v]
-		if g.Type == netlist.DFF || g.Type.IsSource() {
-			return false
-		}
-		if trigSet[v] {
-			return false
-		}
-		if len(g.Fanout) == 0 && !g.IsPO {
-			return false
-		}
-		if measures.CO[v] >= scoap.Inf {
-			return false // structurally unobservable: payload would be a no-op
-		}
-		return true
+	eligible := func(v netlist.GateID) bool {
+		return in.usable(v, trigSet) && (leak || in.loopSafe(v))
 	}
 
 	if spec.Victim != "" {
@@ -355,7 +462,7 @@ func victimCandidates(orig *netlist.Netlist, nodes []rare.Node, spec InsertSpec,
 		if !ok {
 			return nil, fmt.Errorf("trojan: victim net %q not found", spec.Victim)
 		}
-		if !usable(v) || !loopSafe(v) {
+		if !eligible(v) {
 			return nil, fmt.Errorf("trojan: victim net %q unusable (source, trigger node, or loop)", spec.Victim)
 		}
 		return []netlist.GateID{v}, nil
@@ -365,7 +472,7 @@ func victimCandidates(orig *netlist.Netlist, nodes []rare.Node, spec InsertSpec,
 	var out []netlist.GateID
 	taken := map[netlist.GateID]bool{}
 	add := func(v netlist.GateID) {
-		if !taken[v] && usable(v) && loopSafe(v) {
+		if !taken[v] && eligible(v) {
 			taken[v] = true
 			out = append(out, v)
 		}

@@ -22,8 +22,10 @@ type Inserted struct {
 // InsertStage adapts per-instance trojan insertion (Algorithm 3) to the
 // pipeline stage graph. Inputs: the levelized base netlist, the
 // compatibility graph, the stealth-sorted clique list. Output:
-// []Inserted, one per emitted instance. Not cacheable: insertion is the
-// cheap per-instance tail the upstream caching exists to serve.
+// []Inserted, one per emitted instance. The base netlist is analyzed
+// once per run (see inserter), so each instance costs one netlist copy.
+// Not cacheable: insertion is the cheap per-instance tail the upstream
+// caching exists to serve.
 type InsertStage struct {
 	Spec      InsertSpec
 	Instances int
@@ -54,10 +56,14 @@ func (s *InsertStage) Run(ctx context.Context, env *pipe.Env, inputs []pipe.Arti
 	s.total = total
 	progress := env.Progress(stage.Insert)
 
+	ins, err := newInserter(n)
+	if err != nil {
+		return nil, fmt.Errorf("cghti: insert: %w", err)
+	}
 	var out []Inserted
 	for i := 0; i < total; i++ {
 		c := cliques[i]
-		infected, inst, err := InsertInstanceContext(ctx, n, c.Nodes(g), c.Cube, i, s.Spec)
+		infected, inst, err := ins.insert(ctx, c.Nodes(g), c.Cube, i, s.Spec)
 		if err != nil {
 			return out, fmt.Errorf("cghti: instance %d: %w", i, err)
 		}

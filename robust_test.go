@@ -19,25 +19,24 @@ func robustCircuit(t *testing.T) *Netlist {
 	return n
 }
 
-// TestGenerateCancelMidStage cancels the context while each pipeline
-// stage is held inside its hot loop by an injected delay, and checks
-// that GenerateContext returns promptly with a StageError naming that
-// stage, wrapping context.Canceled, and carrying the partial trace.
+// TestGenerateCancelMidStage cancels the context from inside each
+// pipeline stage's hot loop (an injected call at the stage's first
+// instrumented unit of work, so the cancel cannot land in an earlier
+// stage however slow the machine), and checks that GenerateContext
+// returns promptly with a StageError naming that stage, wrapping
+// context.Canceled, and carrying the partial trace.
 func TestGenerateCancelMidStage(t *testing.T) {
 	n := robustCircuit(t)
 	stages := []string{StageRareExtract, StageCubeGen, StageGraphEdges, StageCliqueMine, StageInsert}
 	for _, stageName := range stages {
 		t.Run(stageName, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 			chaos.Install(chaos.Spec{
 				Stage: stageName, Worker: chaos.AnyWorker,
-				Kind: chaos.Delay, Delay: 300 * time.Millisecond, OnHit: 1,
+				Kind: chaos.Call, Fn: cancel, OnHit: 1,
 			})
 			defer chaos.Uninstall()
-
-			ctx, cancel := context.WithCancel(context.Background())
-			timer := time.AfterFunc(30*time.Millisecond, cancel)
-			defer timer.Stop()
-			defer cancel()
 
 			cfg := smallConfig(1)
 			cfg.Workers = 1
