@@ -42,7 +42,7 @@ modcheck:
 # cache.
 race:
 	$(GO) test -race -timeout 5m ./...
-	$(GO) test -race -count=1 -timeout 5m ./internal/pipeline ./internal/artifact ./internal/serve ./internal/obs ./internal/journal ./internal/iofault ./internal/sim ./internal/atpg ./internal/compat ./internal/trojan ./internal/netlist ./cmd/htload
+	$(GO) test -race -count=1 -timeout 5m ./internal/pipeline ./internal/artifact ./internal/serve ./internal/obs ./internal/journal ./internal/iofault ./internal/sim ./internal/atpg ./internal/compat ./internal/rare ./internal/part ./internal/trojan ./internal/netlist ./cmd/htload
 
 # Short fuzz smoke: each native fuzz target runs briefly so a parser
 # regression that panics or hangs on malformed input fails the gate.
@@ -57,9 +57,10 @@ fuzz:
 smoke:
 	$(GO) test -run '^TestSmoke$$' -count=1 -timeout 5m ./cmd/htserved
 
-# Partitioned scale-path smoke: a 10⁴-gate hierarchical SoC through the
-# full pipeline with fanout-cone partitioning on, under the race
-# detector. Always -count=1 so the partition worker pools actually run.
+# Scale-path smoke: a 10⁴-gate hierarchical SoC through the full
+# pipeline with the partitioned graph adjacency on, under the race
+# detector. Always -count=1 so the cube and edge worker pools actually
+# run.
 scalesmoke:
 	$(GO) test -race -run '^TestScaleSmoke$$' -count=1 -timeout 5m .
 

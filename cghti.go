@@ -70,9 +70,8 @@ func ParseBenchString(src, name string) (*Netlist, error) { return bench.ParseSt
 
 // CompactNetlist is the arena (CSR) netlist form: typed parallel arrays
 // instead of per-gate structs, with fanin/fanout edges in two shared
-// index arenas. It is what the streaming parser emits and what the
-// scale path (partitioned rare extraction, cube generation, edge
-// construction) consumes directly.
+// index arenas. It is what the streaming parser emits; ToNetlist
+// expands it into the pointer form the pipeline runs on.
 type CompactNetlist = netlist.Compact
 
 // CompactOf converts a pointer-form netlist to the arena form.

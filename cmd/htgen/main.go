@@ -44,7 +44,7 @@ func main() {
 		faninK     = flag.Int("k", 4, "max fanin of trigger-tree gates")
 		seed       = flag.Int64("seed", 1, "random seed")
 		workers    = flag.Int("workers", 0, "simulation/ATPG goroutine budget (0 = all CPUs, 1 = serial; output is identical)")
-		partitions = flag.Int("partitions", 0, "fanout-cone partition count for the million-gate scale path (0/1 = whole-netlist engines; output is identical)")
+		partitions = flag.Int("partitions", 0, "fanout-cone partition count for the compatibility graph's adjacency layout: per-partition dense blocks plus a sparse cross-partition conflict list (0/1 = one dense bitset; output is identical)")
 		payload    = flag.String("payload", "flip", "trojan effect: flip (invert victim), leak (new output), force (jam victim)")
 		verilog    = flag.Bool("verilog", false, "also emit structural Verilog")
 		check      = flag.Bool("check", true, "re-prove every instance's activation cube before writing")

@@ -124,14 +124,13 @@ type Config struct {
 	// 0 = GOMAXPROCS. The pipeline output is identical for any value.
 	Workers int
 	// Partitions splits the netlist into this many fanout-cone
-	// partitions for the scale path: rare extraction, PODEM cube
-	// generation, and compatibility-edge construction run per-partition,
-	// and the graph stores per-partition adjacency blocks plus a sparse
+	// partitions that own the compatibility graph's vertices: the graph
+	// stores per-partition adjacency blocks plus a sparse
 	// cross-partition conflict list instead of one dense V×V bitset.
-	// 0 or 1 keeps the whole-netlist engines. Like Workers, the pipeline
-	// output is bit-identical for any value — partitioning changes
-	// memory layout and locality, never results. Worth switching on
-	// from ~10⁵ gates.
+	// 0 or 1 keeps the dense adjacency. Rare extraction and PODEM run
+	// on the whole netlist for any value. Like Workers, the pipeline
+	// output is bit-identical for any value — partitioning changes the
+	// adjacency's memory layout, never results.
 	Partitions int
 	// Progress, if non-nil, receives stage-transition and
 	// percent-complete events while Generate runs, so long runs on
@@ -444,11 +443,10 @@ func GenerateContext(ctx context.Context, n *Netlist, cfg Config) (*Result, erro
 			return n, nil
 		}))
 	g.Add(rare.NewExtractStage(rare.Config{
-		Vectors:    cfg.RareVectors,
-		Threshold:  cfg.RareThreshold,
-		Seed:       cfg.Seed,
-		Workers:    cfg.Workers,
-		Partitions: cfg.Partitions,
+		Vectors:   cfg.RareVectors,
+		Threshold: cfg.RareThreshold,
+		Seed:      cfg.Seed,
+		Workers:   cfg.Workers,
 	}), StageLevelize)
 	g.Add(compat.NewCubeStage(buildCfg), StageLevelize, StageRareExtract)
 	g.Add(compat.NewEdgeStage(buildCfg), StageCubeGen)

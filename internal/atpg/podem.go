@@ -70,9 +70,24 @@ func (r Result) String() string {
 // DefaultMaxBacktracks bounds the PODEM decision tree per target.
 const DefaultMaxBacktracks = 4000
 
-// Engine runs PODEM against one netlist. It precomputes SCOAP measures
-// (backtrace guidance), the topological order, and the
-// distance-to-observation map used to steer D-frontier selection.
+// Analysis is the per-netlist state PODEM reads but never writes: the
+// combinational inputs and their positions, the topological order and
+// positions, SCOAP measures (backtrace guidance) and the
+// distance-to-observation map used to steer D-frontier selection. It
+// costs O(gates) time and memory to build, so a worker pool analyzes a
+// netlist once and gives every worker its own Engine over the shared
+// Analysis. Safe for concurrent use.
+type Analysis struct {
+	n        *netlist.Netlist
+	inputs   []netlist.GateID
+	inputPos []int32 // GateID -> position in inputs; -1 for other gates
+	topo     []netlist.GateID
+	topoPos  []int32 // GateID -> position in topo
+	sc       *scoap.Measures
+	obsDist  []int32 // min #gates to an observable net (0 = observable); -1 if none
+}
+
+// Engine runs PODEM against one netlist, over an Analysis of it.
 //
 // Implication is event-driven: each run evaluates the target's cone
 // once, and every later implication re-evaluates only the in-cone
@@ -83,13 +98,7 @@ const DefaultMaxBacktracks = 4000
 //
 // An Engine is not safe for concurrent use; create one per goroutine.
 type Engine struct {
-	n        *netlist.Netlist
-	inputs   []netlist.GateID
-	inputPos []int32 // GateID -> position in inputs; -1 for other gates
-	topo     []netlist.GateID
-	topoPos  []int32 // GateID -> position in topo
-	sc       *scoap.Measures
-	obsDist  []int32 // min #gates to an observable net (0 = observable); -1 if none
+	*Analysis
 
 	// MaxBacktracks bounds the search; DefaultMaxBacktracks if zero.
 	MaxBacktracks int
@@ -142,8 +151,20 @@ type Stats struct {
 	Implies    int64
 }
 
-// NewEngine prepares a PODEM engine for n.
+// NewEngine prepares a PODEM engine for n: Analyze followed by
+// Analysis.NewEngine.
 func NewEngine(n *netlist.Netlist) (*Engine, error) {
+	a, err := Analyze(n)
+	if err != nil {
+		return nil, err
+	}
+	return a.NewEngine(), nil
+}
+
+// Analyze computes the read-only PODEM analysis of n, levelizing it if
+// needed. n must not be mutated while the analysis or any engine built
+// from it is in use.
+func Analyze(n *netlist.Netlist) (*Analysis, error) {
 	topo, err := n.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -152,34 +173,42 @@ func NewEngine(n *netlist.Netlist) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	inputs := n.CombInputs()
-	e := &Engine{
-		n:             n,
-		inputs:        inputs,
-		inputPos:      make([]int32, len(n.Gates)),
-		topo:          topo,
-		topoPos:       make([]int32, len(n.Gates)),
-		sc:            sc,
+	a := &Analysis{
+		n:        n,
+		inputs:   n.CombInputs(),
+		inputPos: make([]int32, len(n.Gates)),
+		topo:     topo,
+		topoPos:  make([]int32, len(n.Gates)),
+		sc:       sc,
+	}
+	for i := range a.inputPos {
+		a.inputPos[i] = -1
+	}
+	for i, id := range a.inputs {
+		a.inputPos[id] = int32(i)
+	}
+	for i, id := range topo {
+		a.topoPos[id] = int32(i)
+	}
+	a.computeObsDist()
+	return a, nil
+}
+
+// NewEngine returns a fresh engine over the analysis: only the
+// per-run scratch (value planes, assignment, cone marks) is allocated.
+func (a *Analysis) NewEngine() *Engine {
+	num := len(a.n.Gates)
+	return &Engine{
+		Analysis:      a,
 		MaxBacktracks: DefaultMaxBacktracks,
-		good:          make([]sim.V3, len(n.Gates)),
-		faulty:        make([]sim.V3, len(n.Gates)),
-		assign:        make([]sim.V3, len(inputs)),
-		relev:         make([]bool, len(n.Gates)),
-		rank:          make([]int32, len(n.Gates)),
+		good:          make([]sim.V3, num),
+		faulty:        make([]sim.V3, num),
+		assign:        make([]sim.V3, len(a.inputs)),
+		relev:         make([]bool, num),
+		rank:          make([]int32, num),
 		dirtyHi:       -1,
 		met:           defaultMeters,
 	}
-	for i := range e.inputPos {
-		e.inputPos[i] = -1
-	}
-	for i, id := range inputs {
-		e.inputPos[id] = int32(i)
-	}
-	for i, id := range topo {
-		e.topoPos[id] = int32(i)
-	}
-	e.computeObsDist()
-	return e, nil
 }
 
 // SetRegistry points the engine's PODEM counters at r, so a per-run
@@ -189,20 +218,20 @@ func (e *Engine) SetRegistry(r *obs.Registry) { e.met = metersFor(r) }
 
 // InputIDs returns the ordered combinational input list cubes are
 // expressed over.
-func (e *Engine) InputIDs() []netlist.GateID { return e.inputs }
+func (a *Analysis) InputIDs() []netlist.GateID { return a.inputs }
 
 // computeObsDist fills obsDist with the minimum number of fanout hops
 // from each gate to an observable net (PO or DFF data input).
-func (e *Engine) computeObsDist() {
-	n := e.n
-	e.obsDist = make([]int32, len(n.Gates))
-	for i := range e.obsDist {
-		e.obsDist[i] = -1
+func (a *Analysis) computeObsDist() {
+	n := a.n
+	a.obsDist = make([]int32, len(n.Gates))
+	for i := range a.obsDist {
+		a.obsDist[i] = -1
 	}
 	var queue []netlist.GateID
 	push := func(id netlist.GateID, d int32) {
-		if e.obsDist[id] == -1 || d < e.obsDist[id] {
-			e.obsDist[id] = d
+		if a.obsDist[id] == -1 || d < a.obsDist[id] {
+			a.obsDist[id] = d
 			queue = append(queue, id)
 		}
 	}
@@ -212,13 +241,13 @@ func (e *Engine) computeObsDist() {
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		d := e.obsDist[id] + 1
+		d := a.obsDist[id] + 1
 		for _, f := range n.Gates[id].Fanin {
 			if n.Gates[id].Type == netlist.DFF {
 				continue // crossing into previous cycle
 			}
-			if e.obsDist[f] == -1 || d < e.obsDist[f] {
-				e.obsDist[f] = d
+			if a.obsDist[f] == -1 || d < a.obsDist[f] {
+				a.obsDist[f] = d
 				queue = append(queue, f)
 			}
 		}

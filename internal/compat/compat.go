@@ -20,6 +20,7 @@ import (
 	"cghti/internal/chaos"
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
+	"cghti/internal/part"
 	"cghti/internal/rare"
 	"cghti/internal/stage"
 )
@@ -81,15 +82,15 @@ type BuildConfig struct {
 	// rare node's cube is computed independently and results keep
 	// rarity order, and the pairwise compatibility test is pure.
 	Workers int
-	// Partitions splits the netlist into fanout-cone partitions
-	// (part.Build) — the scale path for SoC-sized designs. Cube
-	// generation justifies each rare node inside its owning partition's
-	// TFI-closed sub-netlist, and the adjacency is stored as dense
-	// per-partition blocks plus a sparse cross-partition conflict list
-	// instead of one dense V×V bitset. 0 or 1 keeps the whole-netlist
-	// engine and dense adjacency. Like Workers, the graph — vertices,
-	// cubes, edge set, and everything mined from it — is bit-identical
-	// for any partition count; only the representation changes.
+	// Partitions groups the vertices by the fanout-cone partition
+	// (part.Build) that owns their rare node, and stores the adjacency
+	// as dense per-partition blocks plus a sparse cross-partition
+	// conflict list instead of one dense V×V bitset. 0 or 1 keeps the
+	// dense adjacency. Cube generation runs on the whole netlist either
+	// way, so the graph — vertices, cubes, edge set, and everything
+	// mined from it — is bit-identical for any partition count; only
+	// the representation changes. With Partitions > 1 and MaxNodes > 0,
+	// CubesDone advances in batch steps even for one worker.
 	Partitions int
 	// Progress, if non-nil, is called with (candidates processed,
 	// total candidates) as cube generation advances — per candidate on
@@ -130,9 +131,9 @@ type Graph struct {
 	words int        // words per full-width adjacency row
 
 	// vertPart maps each vertex to the netlist partition that owns its
-	// rare node (nil when cubes were built unpartitioned). Recorded by
-	// the partitioned BuildCubes so ConnectEdges can group vertices
-	// whose cubes share input support without re-deriving the plan.
+	// rare node (nil when Partitions <= 1). Recorded by BuildCubes so
+	// ConnectEdges can group vertices whose cubes share input support
+	// without re-deriving the plan.
 	vertPart []int32
 	// pa is the partitioned adjacency (nil when dense): dense
 	// per-partition blocks plus a sparse cross-partition conflict list.
@@ -173,30 +174,24 @@ func BuildCubes(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg Build
 		workers = runtime.GOMAXPROCS(0)
 	}
 
+	var plan *part.Plan
 	if cfg.Partitions > 1 {
-		g := &Graph{InputIDs: n.CombInputs(), CubesTotal: len(candidates)}
-		t0 := time.Now()
-		runErr := g.buildCubesPartitioned(ctx, n, candidates, cfg, workers)
-		g.CubeTime = time.Since(t0)
-		met := metersCtx(ctx)
-		met.cubeSuccess.Add(int64(len(g.Nodes)))
-		met.cubeDropped.Add(int64(g.Dropped))
-		return g, runErr
+		var err error
+		if plan, err = part.Build(n, cfg.Partitions); err != nil {
+			return nil, err
+		}
 	}
-
-	eng, err := atpg.NewEngine(n)
+	// One analysis of the netlist serves every engine of the run.
+	an, err := atpg.Analyze(n)
 	if err != nil {
 		return nil, err
 	}
-	eng.SetRegistry(obs.FromContext(ctx))
-	if cfg.MaxBacktracks > 0 {
-		eng.MaxBacktracks = cfg.MaxBacktracks
-	}
 
-	g := &Graph{InputIDs: eng.InputIDs(), CubesTotal: len(candidates)}
+	g := &Graph{InputIDs: an.InputIDs(), CubesTotal: len(candidates)}
 	t0 := time.Now()
 	var runErr error
-	if workers == 1 {
+	if workers == 1 && plan == nil {
+		eng := newCubeEngine(ctx, an, cfg)
 		ctxDone := ctx.Done()
 	serial:
 		for done, node := range candidates {
@@ -226,7 +221,12 @@ func BuildCubes(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg Build
 			}
 		}
 	} else {
-		runErr = g.buildCubesParallel(ctx, n, candidates, cfg, workers)
+		runErr = g.buildCubesParallel(ctx, an, candidates, cfg, workers)
+	}
+	if plan != nil {
+		for _, node := range g.Nodes {
+			g.vertPart = append(g.vertPart, plan.Owner[node.ID])
+		}
 	}
 	g.CubeTime = time.Since(t0)
 	met := metersCtx(ctx)

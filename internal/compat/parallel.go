@@ -4,26 +4,41 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"cghti/internal/atpg"
 	"cghti/internal/chaos"
-	"cghti/internal/netlist"
 	"cghti/internal/obs"
 	"cghti/internal/rare"
 	"cghti/internal/stage"
 )
 
+// newCubeEngine returns a PODEM engine over an with cfg's backtrack
+// budget, counting into ctx's registry.
+func newCubeEngine(ctx context.Context, an *atpg.Analysis, cfg BuildConfig) *atpg.Engine {
+	eng := an.NewEngine()
+	eng.SetRegistry(obs.FromContext(ctx))
+	if cfg.MaxBacktracks > 0 {
+		eng.MaxBacktracks = cfg.MaxBacktracks
+	}
+	return eng
+}
+
 // buildCubesParallel runs PODEM justification for the candidates over a
 // worker pool. Results are identical to the serial path for any worker
 // count: cubes are collected in candidate (rarity) order, and the
 // MaxNodes cutoff is the index of the MaxNodes-th success in that order,
-// exactly as the serial loop would have stopped.
+// exactly as the serial loop would have stopped. Only CubesDone differs:
+// it advances in whole batches.
 //
-// Each worker runs under obs.Guard, so a panic inside PODEM surfaces as
-// a *obs.StageError instead of killing the process. On cancellation or
-// a worker error the batches completed so far are still collected into
-// the graph (partial result) and the error is returned.
-func (g *Graph) buildCubesParallel(ctx context.Context, n *netlist.Netlist, candidates []rare.Node, cfg BuildConfig, workers int) error {
+// Each worker owns one engine for the whole run, built on its first
+// batch over the shared analysis; the batch join publishes it to the
+// worker's later batches. Each worker runs under obs.Guard, so a panic
+// inside PODEM surfaces as a *obs.StageError instead of killing the
+// process. On cancellation or a worker error the batches completed so
+// far are still collected into the graph (partial result) and the
+// error is returned.
+func (g *Graph) buildCubesParallel(ctx context.Context, an *atpg.Analysis, candidates []rare.Node, cfg BuildConfig, workers int) error {
 	type outcome struct {
 		cube atpg.Cube
 		ok   bool
@@ -40,6 +55,7 @@ func (g *Graph) buildCubesParallel(ctx context.Context, n *netlist.Netlist, cand
 		return nil
 	}
 
+	engines := make([]*atpg.Engine, workers)
 	met := metersCtx(ctx)
 	var runErr error
 	var errOnce sync.Once
@@ -63,26 +79,23 @@ func (g *Graph) buildCubesParallel(ctx context.Context, n *netlist.Netlist, cand
 		if hi > len(candidates) {
 			hi = len(candidates)
 		}
+		var cursor atomic.Int64
+		cursor.Store(int64(processed))
 		var wg sync.WaitGroup
-		next := make(chan int, hi-processed)
-		for i := processed; i < hi; i++ {
-			next <- i
-		}
-		close(next)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				setErr(obs.Guard(stage.CubeGen, w, func() error {
-					eng, err := atpg.NewEngine(n)
-					if err != nil {
-						return err
+					if engines[w] == nil {
+						engines[w] = newCubeEngine(ctx, an, cfg)
 					}
-					eng.SetRegistry(obs.FromContext(ctx))
-					if cfg.MaxBacktracks > 0 {
-						eng.MaxBacktracks = cfg.MaxBacktracks
-					}
-					for i := range next {
+					eng := engines[w]
+					for {
+						i := int(cursor.Add(1)) - 1
+						if i >= hi {
+							return nil
+						}
 						select {
 						case <-ctxDone:
 							return ctx.Err()
@@ -95,7 +108,6 @@ func (g *Graph) buildCubesParallel(ctx context.Context, n *netlist.Netlist, cand
 						cube, res := eng.Justify(node.ID, node.RareValue)
 						results[i] = outcome{cube: cube, ok: res == atpg.Success}
 					}
-					return nil
 				}))
 			}(w)
 		}

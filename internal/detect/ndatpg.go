@@ -66,19 +66,16 @@ func NDATPG(n *netlist.Netlist, rs *rare.Set, cfg NDATPGConfig) (*TestSet, error
 func NDATPGContext(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg NDATPGConfig) (*TestSet, error) {
 	cfg = cfg.withDefaults()
 	events := rs.All()
-	cubes, err := ndatpgCubes(ctx, n, events, cfg)
+	an, err := atpg.Analyze(n)
+	if err != nil {
+		return nil, err
+	}
+	cubes, err := ndatpgCubes(ctx, an, events, cfg)
 	if err != nil {
 		return nil, err
 	}
 
-	ts := &TestSet{}
-	{
-		eng, err := atpg.NewEngine(n)
-		if err != nil {
-			return nil, err
-		}
-		ts.Inputs = eng.InputIDs()
-	}
+	ts := &TestSet{Inputs: an.InputIDs()}
 	seen := make(map[string]bool)
 	for i := range events {
 		if !cubes[i].ok {
@@ -115,9 +112,9 @@ type ndCube struct {
 }
 
 // ndatpgCubes runs the per-event ATPG (detection first, excitation
-// fallback) over a worker pool, each worker owning one engine. Workers
-// run under obs.Guard and check ctx per event.
-func ndatpgCubes(ctx context.Context, n *netlist.Netlist, events []rare.Node, cfg NDATPGConfig) ([]ndCube, error) {
+// fallback) over a worker pool, each worker owning one engine over the
+// shared analysis. Workers run under obs.Guard and check ctx per event.
+func ndatpgCubes(ctx context.Context, an *atpg.Analysis, events []rare.Node, cfg NDATPGConfig) ([]ndCube, error) {
 	out := make([]ndCube, len(events))
 	workers := cfg.Workers
 	if workers > len(events) {
@@ -141,10 +138,7 @@ func ndatpgCubes(ctx context.Context, n *netlist.Netlist, events []rare.Node, cf
 		go func(w int) {
 			defer wg.Done()
 			setErr(obs.Guard(stage.NDATPG, w, func() error {
-				eng, err := atpg.NewEngine(n)
-				if err != nil {
-					return err
-				}
+				eng := an.NewEngine()
 				eng.SetRegistry(obs.FromContext(ctx))
 				if cfg.MaxBacktracks > 0 {
 					eng.MaxBacktracks = cfg.MaxBacktracks

@@ -292,31 +292,34 @@ func (c *Compact) Validate() error {
 	return c.Levelize()
 }
 
-// ToNetlist expands the arena form back to the pointer form (fresh
-// per-gate slices, rebuilt name index), carrying over cached levels and
-// topological order. Use when an API needs *Netlist; large netlists
-// should stay Compact as long as possible.
+// ToNetlist expands the arena form back to the pointer form (per-gate
+// fanin and fanout lists copied into one slab, as CloneGrow does, and a
+// rebuilt name index), carrying over cached levels and topological
+// order. The name index is built frozen: every clone of the result
+// shares it instead of copying it. Use when an API needs *Netlist;
+// large netlists should stay Compact as long as possible.
 func (c *Compact) ToNetlist() (*Netlist, error) {
 	num := c.NumGates()
 	n := &Netlist{
-		Name:   c.Name,
-		Gates:  make([]Gate, num),
-		PIs:    append([]GateID(nil), c.PIs...),
-		POs:    append([]GateID(nil), c.POs...),
-		DFFs:   append([]GateID(nil), c.DFFs...),
-		byName: make(map[string]GateID, num),
+		Name:  c.Name,
+		Gates: make([]Gate, num),
+		PIs:   append([]GateID(nil), c.PIs...),
+		POs:   append([]GateID(nil), c.POs...),
+		DFFs:  append([]GateID(nil), c.DFFs...),
+		names: make(map[string]GateID, num),
 	}
+	slab := make(idSlab, len(c.FaninIdx)+len(c.FanoutIdx))
 	for i := 0; i < num; i++ {
 		name := c.Names[i]
-		if prev, dup := n.byName[name]; dup {
+		if prev, dup := n.names[name]; dup {
 			return nil, fmt.Errorf("netlist %q: gates %d and %d share name %q", c.Name, prev, i, name)
 		}
-		n.byName[name] = GateID(i)
+		n.names[name] = GateID(i)
 		n.Gates[i] = Gate{
 			Name:   name,
 			Type:   c.Types[i],
-			Fanin:  append([]GateID(nil), c.FaninOf(GateID(i))...),
-			Fanout: append([]GateID(nil), c.FanoutOf(GateID(i))...),
+			Fanin:  slab.take(c.FaninOf(GateID(i))),
+			Fanout: slab.take(c.FanoutOf(GateID(i))),
 			Level:  c.Level[i],
 			IsPO:   c.POMask[i],
 		}

@@ -195,6 +195,12 @@ type Netlist struct {
 	// DFFs lists flip-flop gate IDs in declaration order.
 	DFFs []GateID
 
+	// The name index has two layers. names is frozen: built once by
+	// Compact.ToNetlist over the gates it creates and shared read-only
+	// by every clone (nil for netlists assembled gate by gate). byName
+	// holds the names this netlist added beyond names; a clone copies
+	// only this overlay. A name lives in exactly one of the two.
+	names     map[string]GateID
 	byName    map[string]GateID
 	levelized bool
 	topo      []GateID // cached topological order (combinational view)
@@ -222,6 +228,9 @@ func (n *Netlist) NumCells() int {
 
 // Lookup returns the gate ID with the given net name.
 func (n *Netlist) Lookup(name string) (GateID, bool) {
+	if id, ok := n.names[name]; ok {
+		return id, true
+	}
 	id, ok := n.byName[name]
 	return id, ok
 }
@@ -229,7 +238,7 @@ func (n *Netlist) Lookup(name string) (GateID, bool) {
 // MustLookup is Lookup that panics on a missing name; for tests and
 // generators where the name is known to exist.
 func (n *Netlist) MustLookup(name string) GateID {
-	id, ok := n.byName[name]
+	id, ok := n.Lookup(name)
 	if !ok {
 		panic(fmt.Sprintf("netlist %q: no gate named %q", n.Name, name))
 	}
@@ -242,11 +251,11 @@ func (n *Netlist) Gate(id GateID) *Gate { return &n.Gates[id] }
 // AddGate appends a gate with the given name and type and no connections
 // yet. It returns an error if the name is already taken.
 func (n *Netlist) AddGate(name string, t GateType) (GateID, error) {
+	if _, dup := n.Lookup(name); dup {
+		return InvalidGate, fmt.Errorf("netlist %q: duplicate gate name %q", n.Name, name)
+	}
 	if n.byName == nil {
 		n.byName = make(map[string]GateID)
-	}
-	if _, dup := n.byName[name]; dup {
-		return InvalidGate, fmt.Errorf("netlist %q: duplicate gate name %q", n.Name, name)
 	}
 	id := GateID(len(n.Gates))
 	n.Gates = append(n.Gates, Gate{Name: name, Type: t, Level: -1})
@@ -276,7 +285,7 @@ func (n *Netlist) MustAddGate(name string, t GateType) GateID {
 // backing arrays, which dominates construction time.
 func (n *Netlist) Grow(extra int) {
 	if n.byName == nil {
-		n.byName = make(map[string]GateID, len(n.Gates)+extra)
+		n.byName = make(map[string]GateID, len(n.Gates)-len(n.names)+extra)
 	}
 	if cap(n.Gates)-len(n.Gates) >= extra {
 		return
@@ -359,11 +368,11 @@ func (n *Netlist) Clone() *Netlist { return n.CloneGrow(0) }
 // CloneGrow returns a deep copy of the netlist with room reserved for
 // extra more gates (and their names), so adding them reallocates
 // neither the gate array nor the name index. Every gate's fanin and
-// fanout lists are copied into one shared slab, each capped at its own
-// length so a later append moves that list out instead of overwriting
-// its neighbour; empty lists stay nil. The copy therefore allocates a
-// fixed number of objects however many gates it has, apart from the
-// name index.
+// fanout lists are copied into one slab (idSlab). The frozen name index
+// is shared, not copied — only the source's own additions are — so
+// cloning a parsed netlist allocates a fixed number of objects however
+// many gates it has. CloneGrow only reads n: concurrent clones of one
+// netlist are safe.
 func (n *Netlist) CloneGrow(extra int) *Netlist {
 	c := &Netlist{
 		Name:      n.Name,
@@ -371,6 +380,7 @@ func (n *Netlist) CloneGrow(extra int) *Netlist {
 		PIs:       append([]GateID(nil), n.PIs...),
 		POs:       append([]GateID(nil), n.POs...),
 		DFFs:      append([]GateID(nil), n.DFFs...),
+		names:     n.names,
 		byName:    make(map[string]GateID, len(n.byName)+extra),
 		levelized: n.levelized,
 	}
@@ -378,20 +388,11 @@ func (n *Netlist) CloneGrow(extra int) *Netlist {
 	for i := range n.Gates {
 		edges += len(n.Gates[i].Fanin) + len(n.Gates[i].Fanout)
 	}
-	slab := make([]GateID, edges)
-	take := func(ids []GateID) []GateID {
-		if len(ids) == 0 {
-			return nil
-		}
-		k := copy(slab, ids)
-		out := slab[:k:k]
-		slab = slab[k:]
-		return out
-	}
+	slab := make(idSlab, edges)
 	for i := range n.Gates {
 		g := n.Gates[i]
-		g.Fanin = take(g.Fanin)
-		g.Fanout = take(g.Fanout)
+		g.Fanin = slab.take(g.Fanin)
+		g.Fanout = slab.take(g.Fanout)
 		c.Gates[i] = g
 	}
 	for k, v := range n.byName {
@@ -401,6 +402,21 @@ func (n *Netlist) CloneGrow(extra int) *Netlist {
 		c.topo = append([]GateID(nil), n.topo...)
 	}
 	return c
+}
+
+// idSlab hands out per-gate edge lists from one backing array: each
+// list is a copy capped at its own length, so a later append moves that
+// list out instead of overwriting its neighbour; empty lists stay nil.
+type idSlab []GateID
+
+func (s *idSlab) take(ids []GateID) []GateID {
+	if len(ids) == 0 {
+		return nil
+	}
+	k := copy(*s, ids)
+	out := (*s)[:k:k]
+	*s = (*s)[k:]
+	return out
 }
 
 // CombInputs returns the inputs of the combinational (full-scan) view:

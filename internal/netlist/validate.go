@@ -34,8 +34,8 @@ func (n *Netlist) Validate() error {
 		} else {
 			seen[g.Name] = id
 		}
-		if got, want := n.byName[g.Name], id; got != want {
-			addf("name index for %q points to %d, want %d", g.Name, got, want)
+		if got, ok := n.Lookup(g.Name); !ok || got != id {
+			addf("name index for %q points to %d, want %d", g.Name, got, id)
 		}
 
 		switch g.Type {

@@ -1,83 +1,50 @@
-// Package part partitions a netlist into fanout-cone regions so the
-// per-gate stages of the pipeline — rare-node counting, PODEM cube
-// generation, compatibility edge construction — can run on block-sized
-// sub-netlists instead of the whole design. This is what takes the
-// framework from ISCAS-sized benchmarks to million-gate SoCs: the dense
-// O(n²) structures shrink to O((n/P)²) per partition, and each
-// partition's work is independent, so it lands directly on the existing
-// worker pool.
+// Package part assigns every gate of a netlist to one fanout-cone
+// partition. The compatibility graph groups its vertices by the
+// partition that owns their rare node and lays its adjacency out as
+// dense per-partition blocks plus a sparse cross-partition conflict
+// list (internal/compat): cubes over one cone share input support and
+// conflict often, cubes over different cones rarely do.
 //
-// The plan assigns every gate an owning partition and materializes, per
-// partition, the transitive-fanin closure of its owned gates as a
-// self-contained netlist.Compact (full-scan view: closure stops at PIs
-// and DFFs). Because the closure is complete, simulating or justifying
-// inside a partition gives bit-identical values to the global netlist —
-// partitioning changes the schedule, never the results.
+// Partitions decide ownership and that layout only. Rare extraction and
+// PODEM run on the whole netlist: per-partition sub-netlists (owned
+// gates plus their transitive fanin) hold 2.7× a 10⁶-gate SoC's gates
+// and cost more time and memory than one whole-netlist engine (see
+// DESIGN.md, "Fanout-cone partitioning").
 package part
 
 import (
 	"fmt"
-	"sort"
 
 	"cghti/internal/netlist"
 )
-
-// Sub is one partition's self-contained sub-netlist: the gates the
-// partition owns plus their transitive fanin, with gate IDs remapped to
-// a dense local space.
-type Sub struct {
-	// Index is the partition number in [0, Plan.Parts).
-	Index int
-	// C is the sub-netlist in arena form, levelized.
-	C *netlist.Compact
-	// ToGlobal maps local gate IDs to global ones; it is sorted
-	// ascending (local order preserves global order).
-	ToGlobal []netlist.GateID
-	// Owned marks, per local gate, whether this partition owns it (the
-	// rest is replicated fanin context shared with other partitions).
-	Owned []bool
-	// NumOwned counts the true entries of Owned.
-	NumOwned int
-}
-
-// Local maps a global gate ID to this partition's local ID.
-func (s *Sub) Local(g netlist.GateID) (netlist.GateID, bool) {
-	i := sort.Search(len(s.ToGlobal), func(i int) bool { return s.ToGlobal[i] >= g })
-	if i < len(s.ToGlobal) && s.ToGlobal[i] == g {
-		return netlist.GateID(i), true
-	}
-	return netlist.InvalidGate, false
-}
 
 // Plan is a complete partitioning of a netlist.
 type Plan struct {
 	// Parts is the effective partition count (requests are clamped to
 	// the seed count, so tiny circuits may get fewer than asked).
 	Parts int
-	// Owner maps every global gate to its owning partition.
+	// Owner maps every gate to its owning partition.
 	Owner []int32
-	// Subs holds the per-partition sub-netlists, indexed by partition.
-	Subs []*Sub
 }
 
-// Build computes a partition plan for c. Partitioning is seeded by the
-// combinational outputs (PO drivers, then DFF data drivers — the cone
-// roots of the full-scan view), split into parts contiguous blocks;
-// every other gate joins the minimum-numbered partition among its
-// fanout consumers, walking in reverse topological order. Gates on no
-// output cone fall to partition 0. The assignment is a pure function of
-// the netlist and parts — no RNG, no goroutine scheduling — so plans
-// are deterministic.
-func Build(c *netlist.Compact, parts int) (*Plan, error) {
-	topo, err := c.TopoOrder()
+// Build computes a partition plan for n, levelizing it if needed.
+// Partitioning is seeded by the combinational outputs (PO drivers, then
+// DFF data drivers — the cone roots of the full-scan view), split into
+// parts contiguous blocks; every other gate joins the minimum-numbered
+// partition among its fanout consumers, walking in reverse topological
+// order. Gates on no output cone fall to partition 0. The assignment is
+// a pure function of the netlist and parts — no RNG, no goroutine
+// scheduling — so plans are deterministic.
+func Build(n *netlist.Netlist, parts int) (*Plan, error) {
+	topo, err := n.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	num := c.NumGates()
+	num := n.NumGates()
 	if num == 0 {
 		return nil, fmt.Errorf("part: empty netlist")
 	}
-	seeds := c.CombOutputs()
+	seeds := n.CombOutputs()
 	if parts < 1 {
 		parts = 1
 	}
@@ -114,8 +81,8 @@ func Build(c *netlist.Compact, parts int) (*Plan, error) {
 			continue
 		}
 		min := unowned
-		for _, f := range c.FanoutOf(id) {
-			if c.TypeOf(f) == netlist.DFF {
+		for _, f := range n.Gates[id].Fanout {
+			if n.Gates[f].Type == netlist.DFF {
 				continue
 			}
 			if o := owner[f]; o != unowned && (min == unowned || o < min) {
@@ -127,145 +94,5 @@ func Build(c *netlist.Compact, parts int) (*Plan, error) {
 		}
 		owner[id] = min
 	}
-
-	plan := &Plan{Parts: parts, Owner: owner, Subs: make([]*Sub, parts)}
-	for p := 0; p < parts; p++ {
-		plan.Subs[p] = extractSub(c, owner, p)
-	}
-	return plan, nil
-}
-
-// extractSub materializes partition p: its owned gates plus their
-// transitive fanin closure (stopping at PIs and DFFs, the full-scan
-// sources), as a dense local-ID Compact. Local IDs preserve ascending
-// global order. DFF data edges are kept only when the driver is itself
-// a member; partitions never pull in another cone just to record a
-// register's input.
-func extractSub(c *netlist.Compact, owner []int32, p int) *Sub {
-	num := c.NumGates()
-	member := make([]bool, num)
-	stack := make([]netlist.GateID, 0, 256)
-	owned := 0
-	for g := 0; g < num; g++ {
-		if owner[g] == int32(p) {
-			member[g] = true
-			owned++
-			stack = append(stack, netlist.GateID(g))
-		}
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if t := c.TypeOf(id); t == netlist.DFF || t.IsSource() {
-			continue // full-scan source: the cone stops here
-		}
-		for _, f := range c.FaninOf(id) {
-			if !member[f] {
-				member[f] = true
-				stack = append(stack, f)
-			}
-		}
-	}
-
-	// Local IDs in ascending global order.
-	toGlobal := make([]netlist.GateID, 0, owned)
-	local := make([]netlist.GateID, num)
-	for g := 0; g < num; g++ {
-		if member[g] {
-			local[g] = netlist.GateID(len(toGlobal))
-			toGlobal = append(toGlobal, netlist.GateID(g))
-		}
-	}
-	n := len(toGlobal)
-
-	sub := &netlist.Compact{
-		Name:        fmt.Sprintf("%s.part%d", c.Name, p),
-		Names:       make([]string, n),
-		Types:       make([]netlist.GateType, n),
-		FaninStart:  make([]int32, n+1),
-		FanoutStart: make([]int32, n+1),
-		Level:       make([]int32, n),
-		POMask:      make([]bool, n),
-	}
-	// Fanin arena (counting DFF edges only when the driver is present).
-	var nin int32
-	for li, g := range toGlobal {
-		sub.Names[li] = c.NameOf(g)
-		sub.Types[li] = c.TypeOf(g)
-		sub.Level[li] = -1
-		sub.FaninStart[li] = nin
-		switch t := c.TypeOf(g); {
-		case t == netlist.Input:
-		case t == netlist.DFF:
-			if f := c.FaninOf(g); len(f) > 0 && member[f[0]] {
-				nin++
-			}
-		default:
-			nin += int32(len(c.FaninOf(g)))
-		}
-	}
-	sub.FaninStart[n] = nin
-	sub.FaninIdx = make([]netlist.GateID, 0, nin)
-	for _, g := range toGlobal {
-		switch t := c.TypeOf(g); {
-		case t == netlist.Input:
-		case t == netlist.DFF:
-			if f := c.FaninOf(g); len(f) > 0 && member[f[0]] {
-				sub.FaninIdx = append(sub.FaninIdx, local[f[0]])
-			}
-		default:
-			for _, f := range c.FaninOf(g) {
-				sub.FaninIdx = append(sub.FaninIdx, local[f])
-			}
-		}
-	}
-	// Fanout arena, derived from the local fanin edges: counting pass,
-	// prefix sum, then a fill in ascending consumer order (the same
-	// order Connect would have inserted them).
-	counts := make([]int32, n+1)
-	for _, f := range sub.FaninIdx {
-		counts[f+1]++
-	}
-	for i := 0; i < n; i++ {
-		counts[i+1] += counts[i]
-	}
-	copy(sub.FanoutStart, counts)
-	sub.FanoutIdx = make([]netlist.GateID, nin)
-	fill := make([]int32, n)
-	for li := 0; li < n; li++ {
-		for _, f := range sub.FaninIdx[sub.FaninStart[li]:sub.FaninStart[li+1]] {
-			sub.FanoutIdx[counts[f]+fill[f]] = netlist.GateID(li)
-			fill[f]++
-		}
-	}
-	// Port lists, ascending global order.
-	for li, g := range toGlobal {
-		switch c.TypeOf(g) {
-		case netlist.Input:
-			sub.PIs = append(sub.PIs, netlist.GateID(li))
-		case netlist.DFF:
-			sub.DFFs = append(sub.DFFs, netlist.GateID(li))
-		}
-		if c.IsPO(g) {
-			sub.POMask[li] = true
-			sub.POs = append(sub.POs, netlist.GateID(li))
-		}
-	}
-	if err := sub.Levelize(); err != nil {
-		// The subnet is an induced subgraph of an acyclic netlist, so
-		// this cannot happen for any plan Build produces.
-		panic(fmt.Sprintf("part: subnet levelize: %v", err))
-	}
-
-	s := &Sub{
-		Index:    p,
-		C:        sub,
-		ToGlobal: toGlobal,
-		Owned:    make([]bool, n),
-		NumOwned: owned,
-	}
-	for li, g := range toGlobal {
-		s.Owned[li] = owner[g] == int32(p)
-	}
-	return s
+	return &Plan{Parts: parts, Owner: owner}, nil
 }

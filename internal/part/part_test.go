@@ -1,16 +1,14 @@
 package part
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"cghti/internal/gen"
 	"cghti/internal/netlist"
-	"cghti/internal/sim"
 )
 
-func socCompact(t *testing.T, gates int, seed int64) *netlist.Compact {
+func socNetlist(t *testing.T, gates int, seed int64) *netlist.Netlist {
 	t.Helper()
 	n, err := gen.SoC(gen.SoCSpec{Gates: gates, Seed: seed})
 	if err != nil {
@@ -19,69 +17,55 @@ func socCompact(t *testing.T, gates int, seed int64) *netlist.Compact {
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return netlist.CompactOf(n)
+	return n
 }
 
 func TestPlanInvariants(t *testing.T) {
-	c := socCompact(t, 5000, 9)
-	plan, err := Build(c, 4)
+	n := socNetlist(t, 5000, 9)
+	plan, err := Build(n, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Parts != 4 {
 		t.Fatalf("Parts = %d, want 4", plan.Parts)
 	}
-	totalOwned := 0
-	for _, s := range plan.Subs {
-		totalOwned += s.NumOwned
+	if len(plan.Owner) != n.NumGates() {
+		t.Fatalf("%d owners for %d gates", len(plan.Owner), n.NumGates())
 	}
-	if totalOwned != c.NumGates() {
-		t.Fatalf("owned gates sum to %d, want %d", totalOwned, c.NumGates())
+	seed := make(map[netlist.GateID]bool)
+	for _, s := range n.CombOutputs() {
+		seed[s] = true
 	}
-	for g := 0; g < c.NumGates(); g++ {
+	for g := 0; g < n.NumGates(); g++ {
 		if o := plan.Owner[g]; o < 0 || int(o) >= plan.Parts {
 			t.Fatalf("gate %d owner %d out of range", g, o)
 		}
-	}
-	for _, s := range plan.Subs {
-		for li := 0; li < s.C.NumGates(); li++ {
-			g := s.ToGlobal[li]
-			// Local/global roundtrip and owned-flag consistency.
-			if back, ok := s.Local(g); !ok || back != netlist.GateID(li) {
-				t.Fatalf("part %d: Local(%d) = %d,%v, want %d", s.Index, g, back, ok, li)
+		if seed[netlist.GateID(g)] {
+			continue
+		}
+		// A non-root gate joins its lowest non-DFF consumer's partition.
+		want := int32(-1)
+		for _, f := range n.Gates[g].Fanout {
+			if o := plan.Owner[f]; n.Gates[f].Type != netlist.DFF && (want < 0 || o < want) {
+				want = o
 			}
-			if s.Owned[li] != (plan.Owner[g] == int32(s.Index)) {
-				t.Fatalf("part %d gate %d: Owned flag disagrees with plan", s.Index, g)
-			}
-			if s.C.TypeOf(netlist.GateID(li)) != c.TypeOf(g) {
-				t.Fatalf("part %d gate %d: type mismatch", s.Index, g)
-			}
-			// Closure: every non-source member carries its full global
-			// fanin, remapped.
-			if typ := c.TypeOf(g); typ != netlist.Input && typ != netlist.DFF {
-				gf := c.FaninOf(g)
-				lf := s.C.FaninOf(netlist.GateID(li))
-				if len(gf) != len(lf) {
-					t.Fatalf("part %d gate %d: fanin %d, want %d", s.Index, g, len(lf), len(gf))
-				}
-				for k := range gf {
-					if s.ToGlobal[lf[k]] != gf[k] {
-						t.Fatalf("part %d gate %d: fanin %d maps to %d, want %d",
-							s.Index, g, k, s.ToGlobal[lf[k]], gf[k])
-					}
-				}
-			}
+		}
+		if want < 0 {
+			want = 0
+		}
+		if plan.Owner[g] != want {
+			t.Fatalf("gate %d owner %d, want its lowest consumer partition %d", g, plan.Owner[g], want)
 		}
 	}
 }
 
 func TestPlanDeterministic(t *testing.T) {
-	c := socCompact(t, 3000, 2)
-	a, err := Build(c, 3)
+	n := socNetlist(t, 3000, 2)
+	a, err := Build(n, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(c, 3)
+	b, err := Build(n, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,68 +75,25 @@ func TestPlanDeterministic(t *testing.T) {
 }
 
 func TestPlanClampAndSinglePartition(t *testing.T) {
-	c := netlist.CompactOf(gen.C17())
-	plan, err := Build(c, 1000)
+	n := gen.C17()
+	plan, err := Build(n, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Parts > len(c.CombOutputs()) {
-		t.Fatalf("Parts = %d exceeds seed count %d", plan.Parts, len(c.CombOutputs()))
+	if plan.Parts > len(n.CombOutputs()) {
+		t.Fatalf("Parts = %d exceeds seed count %d", plan.Parts, len(n.CombOutputs()))
 	}
 
-	one, err := Build(c, 1)
+	one, err := Build(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.Parts != 1 || one.Subs[0].C.NumGates() != c.NumGates() {
-		t.Fatalf("single partition should hold the whole netlist: parts=%d gates=%d/%d",
-			one.Parts, one.Subs[0].C.NumGates(), c.NumGates())
+	if one.Parts != 1 {
+		t.Fatalf("parts=%d, want 1", one.Parts)
 	}
 	for g, o := range one.Owner {
 		if o != 0 {
 			t.Fatalf("gate %d owner %d with parts=1", g, o)
-		}
-	}
-}
-
-// TestPartitionedSimMatchesGlobal is the core soundness check: loading a
-// partition's sub-netlist with the same input words the global engine
-// drew and running it must reproduce the global simulation bit for bit
-// on every member gate — owned and replicated alike.
-func TestPartitionedSimMatchesGlobal(t *testing.T) {
-	c := socCompact(t, 3000, 7)
-	const words = 4
-	global, err := sim.NewPackedCompact(c, words, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	global.Randomize(rand.New(rand.NewSource(21)))
-	global.Run()
-
-	for _, parts := range []int{2, 5} {
-		plan, err := Build(c, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range plan.Subs {
-			eng, err := sim.NewPackedCompact(s.C, words, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, li := range s.C.CombInputs() {
-				for w := 0; w < words; w++ {
-					eng.SetWord(li, w, global.Word(s.ToGlobal[li], w))
-				}
-			}
-			eng.Run()
-			for li := 0; li < s.C.NumGates(); li++ {
-				for w := 0; w < words; w++ {
-					if a, b := eng.Word(netlist.GateID(li), w), global.Word(s.ToGlobal[li], w); a != b {
-						t.Fatalf("parts=%d part=%d gate %d word %d: %x vs global %x",
-							parts, s.Index, s.ToGlobal[li], w, a, b)
-					}
-				}
-			}
 		}
 	}
 }

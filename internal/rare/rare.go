@@ -76,14 +76,6 @@ type Config struct {
 	// more room; note that changing the batch size changes which random
 	// vectors are drawn, so keep it fixed when reproducing a run.
 	BatchWords int
-	// Partitions splits the netlist into fanout-cone partitions
-	// (part.Build) simulated as independent sub-netlists, the scale path
-	// for SoC-sized designs. 0 or 1 keeps the single whole-netlist
-	// engine. The extracted set is bit-identical for any partition
-	// count: every partition is loaded with the same globally-drawn
-	// vector words, and each gate's count is folded from exactly its
-	// owning partition.
-	Partitions int
 	// IncludeInputs also scores primary inputs and DFF outputs as
 	// rare-node candidates. Off by default: the paper's trigger nodes
 	// are internal nets (gate outputs), and PIs have probability ~0.5
@@ -164,9 +156,6 @@ func ExtractContext(ctx context.Context, n *netlist.Netlist, cfg Config) (*Set, 
 	cfg = cfg.withDefaults()
 	if cfg.Threshold >= 1 {
 		return nil, fmt.Errorf("rare: threshold %v must be a fraction < 1", cfg.Threshold)
-	}
-	if cfg.Partitions > 1 {
-		return extractPartitioned(ctx, n, cfg)
 	}
 	// Pattern blocks go through the context's simulation service: the
 	// default Exclusive service reproduces the dedicated-engine path

@@ -58,12 +58,9 @@ func (s *ExtractStage) Validate(out pipeline.Artifact) error {
 }
 
 // CacheConfig implements pipeline.Cacheable: exactly the knobs the
-// extracted set depends on. Workers and Partitions are
-// determinism-neutral (identical output for any count — the partitioned
-// path draws the same vector sequence and folds each gate from exactly
-// its owning partition) and excluded; BatchWords changes which random
-// vectors are drawn and is included. The rare codec and this tag stay
-// at v1: the serialized Set is unchanged by partitioning.
+// extracted set depends on. Workers is determinism-neutral (identical
+// output for any count) and excluded; BatchWords changes which random
+// vectors are drawn and is included.
 func (s *ExtractStage) CacheConfig() []byte {
 	e := artifact.NewEnc()
 	e.String("rare.extract.v1")

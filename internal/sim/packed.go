@@ -8,7 +8,7 @@
 //     engine is a cheap lease over an immutable compiled Program shared
 //     through a structural-fingerprint registry (program.go): identical
 //     structures — the same netlist, a renamed reparse, an isomorphic
-//     partition cone — compile once and share one op list, while each
+//     copy — compile once and share one op list, while each
 //     lease owns its value words and meters. Runs shard pattern words
 //     across goroutines, or split level bands across cores when the
 //     batch is too narrow to shard — bit-identical either way;
@@ -93,7 +93,7 @@ const minShardWords = 8
 // rare-node work) or latched from their data input by Step (sequential
 // view).
 type Packed struct {
-	n       *netlist.Netlist // pooling identity; nil for Compact-built engines
+	n       *netlist.Netlist // pooling identity; nil for Compact-built engines and while pooled
 	prog    *Program
 	slot    []int32 // caller gate -> program row; nil = identity
 	words   int

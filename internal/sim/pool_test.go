@@ -2,7 +2,10 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
+	"weak"
 
 	"cghti/internal/netlist"
 )
@@ -98,5 +101,52 @@ func TestPoolRoundTripStillShares(t *testing.T) {
 	defer ReleasePacked(p2)
 	if p2 != p {
 		t.Fatal("unmutated netlist did not reuse the pooled engine")
+	}
+}
+
+// TestPoolLetsNetlistsDie: the pool must not keep a netlist alive. An
+// engine acquired and released for a netlist that is then dropped must
+// not stop its collection, and once it is collected the pool forgets
+// it and closes its idle engines, releasing their program leases.
+func TestPoolLetsNetlistsDie(t *testing.T) {
+	DrainPackedPool()
+	DrainProgramRegistry()
+	_, refs0 := SharedProgramStats()
+	key := func() netKey {
+		n := mkC17(t)
+		a, err := AcquirePacked(n, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := AcquirePacked(n, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ReleasePacked(a)
+		ReleasePacked(b)
+		if _, refs := SharedProgramStats(); refs != refs0+2 {
+			t.Fatalf("refs = %d with two pooled engines, want %d", refs, refs0+2)
+		}
+		return weak.Make(n)
+	}()
+
+	pooled := func() bool {
+		packedPool.Lock()
+		defer packedPool.Unlock()
+		_, ok := packedPool.free[key]
+		return ok
+	}
+	for i := 0; i < 100 && (key.Value() != nil || pooled()); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if key.Value() != nil {
+		t.Fatal("netlist still reachable after its engines were released to the pool")
+	}
+	if pooled() {
+		t.Fatal("pool still holds an entry for a collected netlist")
+	}
+	if _, refs := SharedProgramStats(); refs != refs0 {
+		t.Fatalf("refs = %d after the netlist died, want %d (idle engines not closed)", refs, refs0)
 	}
 }

@@ -10,8 +10,7 @@ import (
 // that two netlists that compute the same logic over the same input
 // interface hash equal regardless of gate names, gate IDs, or insertion
 // order. It is what lets the compiled-program registry share one
-// immutable op program between structurally identical netlists (and
-// between identical fanout-cone partitions of one netlist).
+// immutable op program between structurally identical netlists.
 //
 // Canonicalization rules:
 //

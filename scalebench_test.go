@@ -1,7 +1,7 @@
 // Scale benchmarks: the million-gate path (streaming parse, arena
-// levelize, partitioned rare extraction, partitioned compatibility-edge
-// build) measured in gates/s at 10⁵ and 10⁶ gates on hierarchical
-// synthetic SoCs. Recorded as BENCH_scale.json by `make bench` (see
+// levelize, rare extraction, PODEM cube generation, partitioned
+// compatibility-edge build) measured in gates/s at 10⁵ and 10⁶ gates on
+// hierarchical synthetic SoCs. Recorded as BENCH_scale.json by `make bench` (see
 // cmd/benchjson) so datapoints can be committed and diffed.
 //
 // Run with -benchtime 1x (the Makefile does): each iteration processes
@@ -23,8 +23,9 @@ import (
 )
 
 // scalePoints are the benchmark sizes with the partition counts the
-// scale path would use at each (≈ gates/4096 cone blocks exist; the
-// partition count just has to be small enough that cones stay coarse).
+// scale path would use at each for the graph's adjacency layout
+// (≈ gates/4096 cone blocks exist; the partition count just has to be
+// small enough that cones stay coarse).
 var scalePoints = []struct {
 	label string
 	gates int
@@ -132,10 +133,9 @@ func BenchmarkScaleRareExtract(b *testing.B) {
 		b.Run(pt.label, func(b *testing.B) {
 			n := socNet(b, pt.gates)
 			cfg := rare.Config{
-				Vectors:    256,
-				Threshold:  0.2,
-				Seed:       1,
-				Partitions: pt.parts,
+				Vectors:   256,
+				Threshold: 0.2,
+				Seed:      1,
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -153,13 +153,41 @@ func BenchmarkScaleRareExtract(b *testing.B) {
 	}
 }
 
+// BenchmarkScaleCubeGen is the cube layer at scale: PODEM analysis of
+// the whole SoC plus justification of its 32 rarest nodes on two
+// workers, with the scale path's backtrack cap. Each iteration is one
+// BuildCubes call, so -cpuprofile/-memprofile attribute the layer's
+// time and allocation directly.
+func BenchmarkScaleCubeGen(b *testing.B) {
+	for _, pt := range scalePoints {
+		b.Run(pt.label, func(b *testing.B) {
+			n := socNet(b, pt.gates)
+			rs, err := rare.Extract(n, rare.Config{Vectors: 512, Threshold: 0.08, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := compat.BuildConfig{MaxNodes: 32, MaxBacktracks: 64, Workers: 2, Partitions: pt.parts}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g, err := compat.BuildCubes(context.Background(), n, rs, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if g.NumVertices() == 0 {
+					b.Fatal("no cubes")
+				}
+			}
+			reportGates(b, pt.gates)
+		})
+	}
+}
+
 func BenchmarkScaleEdgeBuild(b *testing.B) {
 	for _, pt := range scalePoints {
 		b.Run(pt.label, func(b *testing.B) {
 			n := socNet(b, pt.gates)
-			rs, err := rare.Extract(n, rare.Config{
-				Vectors: 256, Threshold: 0.2, Seed: 1, Partitions: pt.parts,
-			})
+			rs, err := rare.Extract(n, rare.Config{Vectors: 256, Threshold: 0.2, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -194,10 +222,10 @@ func BenchmarkScaleEdgeBuild(b *testing.B) {
 	}
 }
 
-// TestScaleSmoke is the CI-sized partitioned end-to-end check: a
-// 10⁴-gate SoC through the full pipeline with partitioning on, run
-// under -race by `make ci`. It pins that the scale path stays
-// data-race-free and produces verified instances.
+// TestScaleSmoke is the CI-sized scale-path end-to-end check: a
+// 10⁴-gate SoC through the full pipeline with the partitioned
+// adjacency on, run under -race by `make ci`. It pins that the scale
+// path stays data-race-free and produces verified instances.
 func TestScaleSmoke(t *testing.T) {
 	n, err := cghti.Circuit("soc:10000")
 	if err != nil {
