@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt test race fuzz modcheck smoke scalesmoke recoversmoke batchsmoke fleetsmoke bench benchall
+.PHONY: ci build vet fmt test race fuzz modcheck smoke scalesmoke recoversmoke fleetsmoke benchall
 
-ci: build vet fmt modcheck race fuzz smoke scalesmoke recoversmoke batchsmoke fleetsmoke
+ci: build vet fmt modcheck race fuzz smoke scalesmoke recoversmoke fleetsmoke
 
 build:
 	$(GO) build ./...
@@ -71,14 +71,6 @@ scalesmoke:
 recoversmoke:
 	$(GO) test -run '^TestRecoverSmoke$$' -count=1 -timeout 5m ./cmd/htserved
 
-# Shared-simulation smoke: 8 concurrent mixed jobs on an in-process
-# daemon whose pattern blocks multiplex onto shared batched engines
-# must produce byte-identical results to the same jobs run serially on
-# exclusive engines. Under the race detector, always -count=1, so the
-# batcher's dispatcher/withdrawal paths are actually executed.
-batchsmoke:
-	$(GO) test -race -run '^TestBatchSmoke$$' -count=1 -timeout 5m ./internal/serve
-
 # Two-process fleet drill: build htserved, start two peered daemons,
 # and require the fleet contracts over real process boundaries — one
 # Idempotency-Key submitted to both nodes lands on one job at the ring
@@ -88,22 +80,8 @@ batchsmoke:
 fleetsmoke:
 	$(GO) test -run '^TestFleetSmoke$$' -count=1 -timeout 5m ./cmd/htserved
 
-# Simulation/pipeline benchmarks, recorded as BENCH_sim.json so runs
-# can be committed and diffed (see cmd/benchjson). The artifact-cache
-# benchmark (cold vs warm Generate) lands in its own BENCH_pipeline.json
-# so the warm-run speedup is tracked independently of kernel changes.
-bench:
-	$(GO) test -run '^$$' -bench 'Sim|Generate' -benchmem ./... | $(GO) run ./cmd/benchjson -out BENCH_sim.json
-	@echo "wrote BENCH_sim.json"
-	$(GO) test -run '^$$' -bench 'PipelineCache' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_pipeline.json
-	@echo "wrote BENCH_pipeline.json"
-	$(GO) run ./cmd/htload -jobs 120 -concurrency 8 -out BENCH_serve.json
-	$(GO) run ./cmd/htload -mixed -jobs 96 -concurrency 8 -sim-batch-words -1 -append -out BENCH_serve.json
-	$(GO) run ./cmd/htload -mixed -jobs 96 -concurrency 8 -append -out BENCH_serve.json
-	$(GO) run ./cmd/htload -fleet 3 -mixed -jobs 96 -concurrency 8 -append -out BENCH_serve.json
-	@echo "wrote BENCH_serve.json"
-	$(GO) test -run '^$$' -bench 'Scale' -benchtime 1x -benchmem -timeout 60m . | $(GO) run ./cmd/benchjson -out BENCH_scale.json
-	@echo "wrote BENCH_scale.json"
-
+# Every Go benchmark, for profiling (add -cpuprofile/-memprofile per
+# package). The repository's end-to-end benchmark is perfbench (see
+# BENCHMARK.json): bash perfbench/run.sh --workload W.
 benchall:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

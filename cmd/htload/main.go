@@ -1,20 +1,19 @@
 // Command htload is the serving-path load generator: it drives N
 // trojan-generation jobs against an htserved daemon at a fixed
 // concurrency, waits for each job over its SSE event stream, and
-// records client-observed end-to-end latency percentiles plus
-// throughput as BENCH_serve.json — the same committed-and-diffed shape
-// as BENCH_sim.json and BENCH_pipeline.json (see cmd/benchjson).
+// prints the run's result — client-observed end-to-end latency
+// percentiles plus throughput — as one JSON document on stdout.
 //
 // Usage:
 //
-//	htload -jobs 120 -concurrency 8 -out BENCH_serve.json
+//	htload -jobs 120 -concurrency 8
 //	htload -addr 127.0.0.1:8080 -jobs 500 -concurrency 16
 //
 // With -addr empty (the default) htload self-hosts: it starts an
 // in-process serve.Server on a loopback port, runs the load through
-// real HTTP, and drains it afterwards — so `make bench` needs no
-// daemon orchestration. Point -addr at a running htserved to load-test
-// a real deployment instead.
+// real HTTP, and drains it afterwards, so a run needs no daemon
+// orchestration. Point -addr at a running htserved to load-test a real
+// deployment instead.
 //
 // A 429 (queue full) is backpressure, not an error: the submitter backs
 // off and retries, so the daemon's bounded queue shapes the arrival
@@ -50,6 +49,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,17 +73,10 @@ type loadConfig struct {
 	Workers     int // self-hosted pool size
 	Queue       int // self-hosted queue depth
 	Timeout     time.Duration
-	// Mixed runs the fleet workload the batching simulator service is
-	// built for: jobs round-robin over a few base circuits, so
-	// concurrent jobs share compiled programs and their pattern blocks
-	// pack into shared engines. The run records the achieved lane fill
-	// and patterns/s-per-core from the daemon's counters.
+	// Mixed round-robins jobs over a few base circuits, so concurrent
+	// jobs share compiled simulation programs, and records
+	// patterns/s-per-core from the daemon's counters.
 	Mixed bool
-	// SimBatchWords configures the self-hosted daemon's shared engine
-	// width (ignored with -addr): 0 default, negative disables batching
-	// — the exclusive-engine baseline the batched mixed run is compared
-	// against in BENCH_serve.json.
-	SimBatchWords int
 	// CrashRetry sends an Idempotency-Key per job and retries submits
 	// through transport errors (a daemon restart mid-run), relying on
 	// the daemon's dedupe for exactly-once submission.
@@ -97,26 +90,10 @@ type loadConfig struct {
 	Fleet int
 }
 
-// jsonResult mirrors cmd/benchjson's Result so BENCH_serve.json diffs
-// with the same tooling as the other BENCH files.
-type jsonResult struct {
+// result is one load run's outcome: the leg's name and its metrics.
+type result struct {
 	Name    string             `json:"name"`
-	Package string             `json:"package,omitempty"`
-	Iters   int64              `json:"iterations"`
-	NsPerOp float64            `json:"ns_per_op"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// jsonDoc mirrors cmd/benchjson's Doc. Baseline is carried over from an
-// existing output file, never written fresh.
-type jsonDoc struct {
-	GeneratedAt string          `json:"generated_at"`
-	GoVersion   string          `json:"go_version"`
-	GOOS        string          `json:"goos"`
-	GOARCH      string          `json:"goarch"`
-	NumCPU      int             `json:"num_cpu"`
-	Baseline    json.RawMessage `json:"baseline,omitempty"`
-	Results     []jsonResult    `json:"results"`
+	Metrics map[string]float64 `json:"metrics"`
 }
 
 func main() {
@@ -129,11 +106,8 @@ func main() {
 		workers     = flag.Int("workers", serve.DefaultWorkers, "self-hosted pool size (ignored with -addr)")
 		queue       = flag.Int("queue", serve.DefaultQueueDepth, "self-hosted queue depth (ignored with -addr)")
 		timeout     = flag.Duration("timeout", 5*time.Minute, "whole-run deadline")
-		out         = flag.String("out", "BENCH_serve.json", "output file (stdout if \"-\")")
 		crashRetry  = flag.Bool("crash-retry", false, "send Idempotency-Keys and retry submits through daemon restarts")
-		mixed       = flag.Bool("mixed", false, "fleet workload: jobs round-robin over a few base circuits (ignores -circuit); records lane_fill and patterns/s-per-core")
-		batchWords  = flag.Int("sim-batch-words", 0, "self-hosted daemon's shared engine width (0 = default, negative = exclusive engines; ignored with -addr)")
-		appendOut   = flag.Bool("append", false, "append this run's result to an existing -out file instead of replacing it")
+		mixed       = flag.Bool("mixed", false, "fleet workload: jobs round-robin over a few base circuits (ignores -circuit); records patterns/s-per-core")
 		fleet       = flag.Int("fleet", 0, "self-host this many peered nodes and round-robin submissions over them (ignored with -addr)")
 	)
 	flag.Parse()
@@ -142,37 +116,29 @@ func main() {
 		Addr: *addr, Jobs: *jobs, Concurrency: *concurrency,
 		Circuit: *circuit, Seed: *seed, Workers: *workers,
 		Queue: *queue, Timeout: *timeout, CrashRetry: *crashRetry,
-		Mixed: *mixed, SimBatchWords: *batchWords, Fleet: *fleet,
+		Mixed: *mixed, Fleet: *fleet,
 	}
-	doc, err := run(cfg)
+	r, err := run(cfg)
 	if err != nil {
 		cli.Fatal(tool, err)
 	}
-	if *out == "-" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			cli.Fatal(tool, err)
-		}
-		return
-	}
-	if err := writeDoc(*out, doc, *appendOut); err != nil {
+	fmt.Fprintf(os.Stderr, "%s: %s: %d jobs, p50 %.1fms p90 %.1fms p99 %.1fms, %.1f jobs/s, %d errors\n",
+		tool, r.Name, int(r.Metrics["jobs"]), r.Metrics["p50_ms"], r.Metrics["p90_ms"], r.Metrics["p99_ms"],
+		r.Metrics["jobs_per_s"], int(r.Metrics["errors"]))
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(r); err != nil {
 		cli.Fatal(tool, err)
 	}
-	r := doc.Results[len(doc.Results)-1]
-	fmt.Fprintf(os.Stderr, "%s: %s: %d jobs, p50 %.1fms p90 %.1fms p99 %.1fms, %.1f jobs/s, %d errors\n",
-		tool, r.Name, r.Iters, r.Metrics["p50_ms"], r.Metrics["p90_ms"], r.Metrics["p99_ms"],
-		r.Metrics["jobs_per_s"], int(r.Metrics["errors"]))
 }
 
-// run executes one load run and builds the result document.
-func run(cfg loadConfig) (*jsonDoc, error) {
+// run executes one load run and returns its result.
+func run(cfg loadConfig) (*result, error) {
 	if cfg.Jobs <= 0 || cfg.Concurrency <= 0 {
 		return nil, fmt.Errorf("need positive -jobs and -concurrency")
 	}
 	// The mixed fleet cycles a few base circuits so concurrent jobs
-	// share compiled programs — the shape the batching simulator
-	// service packs best. A plain run drives one circuit.
+	// share compiled programs. A plain run drives one circuit.
 	circuits := []string{cfg.Circuit}
 	if cfg.Mixed {
 		circuits = []string{"c17", "s27", "c432"}
@@ -279,13 +245,12 @@ func run(cfg loadConfig) (*jsonDoc, error) {
 		workload = "mixed"
 	}
 	name := fmt.Sprintf("ServeLoad/%s/jobs=%d/conc=%d", workload, cfg.Jobs, cfg.Concurrency)
-	if cfg.Addr == "" && cfg.SimBatchWords < 0 {
-		name += "/excl" // the exclusive-engine baseline leg
-	}
 	if cfg.Addr == "" && cfg.Fleet > 1 {
 		name += fmt.Sprintf("/fleet=%d", cfg.Fleet)
 	}
 	metrics := map[string]float64{
+		"jobs":         float64(len(ok)),
+		"mean_ms":      ms(sum) / float64(len(ok)),
 		"p50_ms":       ms(nearestRank(ok, 0.50)),
 		"p90_ms":       ms(nearestRank(ok, 0.90)),
 		"p99_ms":       ms(nearestRank(ok, 0.99)),
@@ -294,17 +259,12 @@ func run(cfg loadConfig) (*jsonDoc, error) {
 		"retries_429":  float64(retries.Load()),
 		"idem_replays": float64(replays.Load()),
 	}
-	// Fleet-efficiency metrics from the daemon's own counters: how full
-	// the shared simulation engines ran, and the aggregate simulation
-	// throughput normalized per core. Skipped when either snapshot was
-	// unavailable (e.g. a remote daemon that restarted mid-run).
+	// Fleet-efficiency metrics from the daemon's own counters: the
+	// aggregate simulation throughput normalized per core. Skipped when
+	// either snapshot was unavailable (e.g. a remote daemon that
+	// restarted mid-run).
 	if snap1 := counterSnapshot(ctx, client, base); snap0 != nil && snap1 != nil {
-		fill := snap1["sim.batch_fill"] - snap0["sim.batch_fill"]
-		capacity := snap1["sim.batch_capacity"] - snap0["sim.batch_capacity"]
-		if capacity > 0 {
-			metrics["lane_fill"] = fill / capacity
-		}
-		vectors := snap1["sim.packed_vectors"] - snap0["sim.packed_vectors"]
+		vectors := snap1["sim_packed_vectors"] - snap0["sim_packed_vectors"]
 		if vectors > 0 {
 			metrics["patterns_per_s_per_core"] = vectors / elapsed.Seconds() / float64(runtime.NumCPU())
 		}
@@ -313,33 +273,21 @@ func run(cfg loadConfig) (*jsonDoc, error) {
 		// degraded to local execution. In-process fleet nodes share the
 		// default metrics registry, so node 0's snapshot covers them all.
 		if cfg.Addr == "" && cfg.Fleet > 1 {
-			metrics["forwarded_jobs"] = snap1["serve.forwarded_jobs"] - snap0["serve.forwarded_jobs"]
-			metrics["remote_artifact_hits"] = snap1["artifact.remote_hits"] - snap0["artifact.remote_hits"]
-			metrics["forward_fallbacks"] = snap1["serve.forward_fallbacks"] - snap0["serve.forward_fallbacks"]
+			metrics["forwarded_jobs"] = snap1["serve_forwarded_jobs"] - snap0["serve_forwarded_jobs"]
+			metrics["remote_artifact_hits"] = snap1["artifact_remote_hits"] - snap0["artifact_remote_hits"]
+			metrics["forward_fallbacks"] = snap1["serve_forward_fallbacks"] - snap0["serve_forward_fallbacks"]
 		}
 	}
-	doc := &jsonDoc{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Results: []jsonResult{{
-			Name:    name,
-			Package: "cghti/cmd/htload",
-			Iters:   int64(len(ok)),
-			NsPerOp: float64(sum.Nanoseconds()) / float64(len(ok)),
-			Metrics: metrics,
-		}},
-	}
 	reportJobStatuses(ctx, client, base)
-	return doc, nil
+	return &result{Name: name, Metrics: metrics}, nil
 }
 
-// counterSnapshot fetches the daemon's counter values from
-// /metrics.json; nil when the endpoint is unreachable.
+// counterSnapshot reads the sample values of the daemon's Prometheus
+// /metrics page, keyed by exposition name (the registry's dotted names
+// with '_', e.g. artifact_remote_hits); nil when the page is
+// unreachable.
 func counterSnapshot(ctx context.Context, client *http.Client, base string) map[string]float64 {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics.json", nil)
+	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
 		return nil
 	}
@@ -351,13 +299,21 @@ func counterSnapshot(ctx context.Context, client *http.Client, base string) map[
 	if resp.StatusCode != http.StatusOK {
 		return nil
 	}
-	var doc struct {
-		Counters map[string]float64 `json:"counters"`
+	out := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		name, val, ok := strings.Cut(sc.Text(), " ")
+		if !ok || strings.HasPrefix(name, "#") {
+			continue
+		}
+		if f, err := strconv.ParseFloat(val, 64); err == nil {
+			out[name] = f
+		}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if sc.Err() != nil {
 		return nil
 	}
-	return doc.Counters
+	return out
 }
 
 // reportJobStatuses prints the daemon's terminal job-status counts from
@@ -402,7 +358,7 @@ func reportJobStatuses(ctx context.Context, client *http.Client, base string) {
 // selfHost starts an in-process daemon on a loopback port and returns
 // its address plus a stop function that drains it.
 func selfHost(cfg loadConfig) (addr string, stop func(), err error) {
-	s := serve.New(serve.Config{Workers: cfg.Workers, QueueDepth: cfg.Queue, SimBatchWords: cfg.SimBatchWords})
+	s := serve.New(serve.Config{Workers: cfg.Workers, QueueDepth: cfg.Queue})
 	s.Start()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -448,8 +404,7 @@ func selfHostFleet(cfg loadConfig) (addrs []string, stop func(), err error) {
 		}
 		s := serve.New(serve.Config{
 			Workers: cfg.Workers, QueueDepth: cfg.Queue,
-			SimBatchWords: cfg.SimBatchWords,
-			Peers:         peers, Advertise: addrs[i],
+			Peers: peers, Advertise: addrs[i],
 		})
 		s.Start()
 		hs := &http.Server{Handler: s.Handler()}
@@ -653,29 +608,3 @@ func nearestRank(sorted []time.Duration, q float64) time.Duration {
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-// writeDoc writes the document, carrying over an existing file's
-// baseline block the way cmd/benchjson does. With appendTo the
-// existing file's results are kept and this run's results are added
-// after them — how `make bench` accumulates the exclusive-baseline and
-// batched legs of the mixed fleet comparison into one BENCH_serve.json.
-func writeDoc(path string, doc *jsonDoc, appendTo bool) error {
-	if prev, err := os.ReadFile(path); err == nil {
-		var old jsonDoc
-		if json.Unmarshal(prev, &old) == nil {
-			if len(old.Baseline) > 0 {
-				doc.Baseline = old.Baseline
-			}
-			if appendTo {
-				doc.Results = append(old.Results, doc.Results...)
-			}
-		}
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}

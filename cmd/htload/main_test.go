@@ -1,17 +1,13 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
 
 // TestLoadRunEndToEnd drives a small self-hosted load run — real HTTP,
-// real SSE completion — and checks the recorded document: every job
-// succeeded, the percentiles are populated and ordered, and the file
-// written matches the benchjson layout.
+// real SSE completion — and checks the result: every job succeeded and
+// the percentiles are populated and ordered.
 func TestLoadRunEndToEnd(t *testing.T) {
 	cfg := loadConfig{
 		Jobs:        12,
@@ -22,16 +18,12 @@ func TestLoadRunEndToEnd(t *testing.T) {
 		Queue:       8,
 		Timeout:     2 * time.Minute,
 	}
-	doc, err := run(cfg)
+	r, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Results) != 1 {
-		t.Fatalf("results = %d, want 1", len(doc.Results))
-	}
-	r := doc.Results[0]
-	if r.Iters != int64(cfg.Jobs) {
-		t.Fatalf("iterations = %d, want %d (some jobs failed)", r.Iters, cfg.Jobs)
+	if got := r.Metrics["jobs"]; got != float64(cfg.Jobs) {
+		t.Fatalf("jobs = %v, want %d (some jobs failed)", got, cfg.Jobs)
 	}
 	if got := r.Metrics["errors"]; got != 0 {
 		t.Fatalf("errors = %v, want 0", got)
@@ -46,54 +38,8 @@ func TestLoadRunEndToEnd(t *testing.T) {
 	if r.Metrics["jobs_per_s"] <= 0 {
 		t.Fatalf("jobs_per_s = %v, want > 0", r.Metrics["jobs_per_s"])
 	}
-	if r.NsPerOp <= 0 {
-		t.Fatalf("ns_per_op = %v, want > 0", r.NsPerOp)
-	}
-
-	// The written file parses back as the benchjson document shape, and
-	// an existing baseline block survives a rewrite.
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := os.WriteFile(path, []byte(`{"baseline":{"note":"keep"},"results":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeDoc(path, doc, false); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back jsonDoc
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Results) != 1 || back.Results[0].Name != r.Name {
-		t.Fatalf("written doc round-trip mismatch: %+v", back.Results)
-	}
-	if string(back.Baseline) == "" {
-		t.Fatal("existing baseline block was not carried over")
-	}
-
-	// Append mode keeps the existing results and adds the new run after
-	// them — how `make bench` accumulates the exclusive and batched legs
-	// into one document.
-	doc2 := &jsonDoc{Results: []jsonResult{{Name: "second"}}}
-	if err := writeDoc(path, doc2, true); err != nil {
-		t.Fatal(err)
-	}
-	raw, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back = jsonDoc{}
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Results) != 2 || back.Results[0].Name != r.Name || back.Results[1].Name != "second" {
-		t.Fatalf("append round-trip mismatch: %+v", back.Results)
-	}
-	if string(back.Baseline) == "" {
-		t.Fatal("baseline block was not carried through append")
+	if r.Metrics["mean_ms"] <= 0 {
+		t.Fatalf("mean_ms = %v, want > 0", r.Metrics["mean_ms"])
 	}
 }
 

@@ -16,7 +16,6 @@
 //	GET  /healthz              200 + queue/worker occupancy, 503 while draining
 //	GET  /metrics              Prometheus text exposition (counters, gauges,
 //	                           latency histograms)
-//	GET  /metrics.json         the pre-Prometheus JSON metrics shape
 //	GET  /v1/artifacts/{fp}    serve one cache entry to a fleet peer (framed)
 //	PUT  /v1/artifacts/{fp}    accept one framed cache entry (verified first)
 //
@@ -76,7 +75,6 @@ func main() {
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "how long in-flight jobs may keep running after SIGTERM before being canceled")
 		journalDir  = flag.String("journal-dir", "", "persist the job journal here and recover it on boot (no durability if empty)")
 		maxAttempts = flag.Int("max-attempts", serve.DefaultMaxAttempts, "poison a job after this many crash-interrupted attempts")
-		batchWords  = flag.Int("sim-batch-words", 0, "shared simulation engine width in 64-pattern words (0 = default, negative = exclusive engines per block)")
 		peers       = flag.String("peers", "", "comma-separated peer node addresses (host:port); enables fleet mode: job sharding + remote artifact tier")
 		advertise   = flag.String("advertise", "", "this node's own address as peers reach it (places the node on the ring; defaults to -addr)")
 	)
@@ -113,16 +111,15 @@ func main() {
 		defer jnl.Close()
 	}
 	srv := serve.New(serve.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		JobTimeout:    *jobTimeout,
-		JobWorkers:    *jobWorkers,
-		Cache:         cache,
-		Journal:       jnl,
-		MaxAttempts:   *maxAttempts,
-		SimBatchWords: *batchWords,
-		Peers:         peerList,
-		Advertise:     adv,
+		Workers:     *workers,
+		QueueDepth:  *queue,
+		JobTimeout:  *jobTimeout,
+		JobWorkers:  *jobWorkers,
+		Cache:       cache,
+		Journal:     jnl,
+		MaxAttempts: *maxAttempts,
+		Peers:       peerList,
+		Advertise:   adv,
 	})
 	if rec, err := srv.Recover(); err != nil {
 		cli.Fatal(tool, err)

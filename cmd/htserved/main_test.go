@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -260,7 +262,7 @@ func TestFleetSmoke(t *testing.T) {
 	if owner == addrs[1] {
 		cold = addrs[0]
 	}
-	hitsBefore := counterValue(t, "http://"+cold, "artifact.remote_hits")
+	hitsBefore := counterValue(t, "http://"+cold, "artifact_remote_hits")
 	resp3, id3 := submit("http://"+cold, map[string]string{"X-Cghti-Forwarded": "1"})
 	if resp3.StatusCode != http.StatusAccepted {
 		t.Fatalf("forced-local submit status = %d, want 202", resp3.StatusCode)
@@ -268,7 +270,7 @@ func TestFleetSmoke(t *testing.T) {
 	if status := pollSmokeJob(t, "http://"+cold, id3); status != "done" {
 		t.Fatalf("forced-local job status = %q, want done", status)
 	}
-	hitsAfter := counterValue(t, "http://"+cold, "artifact.remote_hits")
+	hitsAfter := counterValue(t, "http://"+cold, "artifact_remote_hits")
 	if hitsAfter <= hitsBefore {
 		t.Fatalf("cold node artifact.remote_hits = %v before, %v after — expected remote-tier hits from the warm peer", hitsBefore, hitsAfter)
 	}
@@ -291,21 +293,30 @@ func TestFleetSmoke(t *testing.T) {
 	}
 }
 
-// counterValue reads one counter from a daemon's /metrics.json.
+// counterValue reads one counter from a daemon's Prometheus /metrics
+// page, by exposition name (the registry's dotted name with '_'); 0
+// when the counter is absent.
 func counterValue(t *testing.T, base, name string) float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics.json")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var doc struct {
-		Counters map[string]float64 `json:"counters"`
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if val, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return v
+		}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return doc.Counters[name]
+	return 0
 }
 
 func waitHealthy(t *testing.T, base string) {

@@ -19,12 +19,10 @@ import (
 // and the wire format of the remote tier's peer protocol
 // (GET/PUT /v1/artifacts/{fingerprint}): a peer response is verified by
 // exactly the rules a local disk read is — verify before trust, with no
-// second format to keep in sync. v1 entries (no length field) written
-// by older processes still decode.
-var (
-	diskMagic   = [4]byte{'C', 'G', 'A', '2'}
-	diskMagicV1 = [4]byte{'C', 'G', 'A', '1'}
-)
+// second format to keep in sync. Any other magic, including the v1
+// "CGA1" framing older processes wrote, is corrupt: the cache is
+// disposable, so such an entry is dropped and its artifact recomputed.
+var diskMagic = [4]byte{'C', 'G', 'A', '2'}
 
 // entryHeaderLen is the v2 entry header: magic + length + sha256.
 const entryHeaderLen = 4 + 8 + sha256.Size
@@ -58,8 +56,8 @@ func EncodeEntry(payload []byte) []byte {
 	return buf
 }
 
-// DecodeEntry parses and verifies one framed entry (v2 or legacy v1),
-// returning the payload. The payload aliases raw. Failures are
+// DecodeEntry parses and verifies one framed v2 entry, returning the
+// payload. The payload aliases raw. Failures are
 // ErrEntryTorn (truncated relative to the declared length) or
 // ErrEntryCorrupt (full length but wrong bytes) — a caller must treat
 // either as "this entry does not exist", never trust the bytes.
@@ -67,30 +65,19 @@ func DecodeEntry(raw []byte) ([]byte, error) {
 	if len(raw) < len(diskMagic) {
 		return nil, ErrEntryTorn
 	}
-	switch [4]byte(raw[:4]) {
-	case diskMagic: // v2: length field present
-		if len(raw) < entryHeaderLen {
-			return nil, ErrEntryTorn
-		}
-		want := binary.LittleEndian.Uint64(raw[4:12])
-		payload := raw[entryHeaderLen:]
-		if uint64(len(payload)) < want {
-			return nil, ErrEntryTorn
-		}
-		if uint64(len(payload)) > want || sha256.Sum256(payload) != [sha256.Size]byte(raw[12:entryHeaderLen]) {
-			return nil, ErrEntryCorrupt
-		}
-		return payload, nil
-	case diskMagicV1: // v1: no length, truncation and corruption are indistinguishable
-		const header = 4 + sha256.Size
-		if len(raw) < header {
-			return nil, ErrEntryTorn
-		}
-		payload := raw[header:]
-		if sha256.Sum256(payload) != [sha256.Size]byte(raw[4:header]) {
-			return nil, ErrEntryCorrupt
-		}
-		return payload, nil
+	if [4]byte(raw[:4]) != diskMagic {
+		return nil, ErrEntryCorrupt
 	}
-	return nil, ErrEntryCorrupt
+	if len(raw) < entryHeaderLen {
+		return nil, ErrEntryTorn
+	}
+	want := binary.LittleEndian.Uint64(raw[4:12])
+	payload := raw[entryHeaderLen:]
+	if uint64(len(payload)) < want {
+		return nil, ErrEntryTorn
+	}
+	if uint64(len(payload)) > want || sha256.Sum256(payload) != [sha256.Size]byte(raw[12:entryHeaderLen]) {
+		return nil, ErrEntryCorrupt
+	}
+	return payload, nil
 }

@@ -114,15 +114,15 @@ func TestWriteRetriesTransientFault(t *testing.T) {
 	}
 }
 
-// TestV1EntryStillReadable pins the format migration: a legacy CGA1
-// entry (magic + sha256 + payload, no length) reads back under the v2
-// store.
-func TestV1EntryStillReadable(t *testing.T) {
+// TestV1EntryIsMiss pins that a legacy CGA1 entry (magic + sha256 +
+// payload, no length) is treated as corrupt: never served, counted in
+// artifact.disk_corrupt, and dropped from the disk index and the disk.
+func TestV1EntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	payload := []byte("legacy-format payload")
 	sum := sha256.Sum256(payload)
 	v1 := make([]byte, 0, 4+sha256.Size+len(payload))
-	v1 = append(v1, diskMagicV1[:]...)
+	v1 = append(v1, "CGA1"...)
 	v1 = append(v1, sum[:]...)
 	v1 = append(v1, payload...)
 	if err := os.WriteFile(filepath.Join(dir, fpN(0).String()), v1, 0o644); err != nil {
@@ -132,7 +132,21 @@ func TestV1EntryStillReadable(t *testing.T) {
 	if err := c.AttachDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if data, ok := c.Get(fpN(0)); !ok || string(data) != string(payload) {
-		t.Fatalf("v1 entry read = %q, %v", data, ok)
+	if got := c.DiskLen(); got != 1 {
+		t.Fatalf("setup: disk index len = %d, want 1", got)
+	}
+	reg := obs.NewRegistry()
+	ctx := obs.WithRegistry(context.Background(), reg)
+	if data, ok := c.GetCtx(ctx, fpN(0)); ok {
+		t.Fatalf("v1 entry served as a hit: %q", data)
+	}
+	if got := reg.Counter("artifact.disk_corrupt").Value(); got != 1 {
+		t.Fatalf("disk_corrupt = %d, want 1", got)
+	}
+	if got := c.DiskLen(); got != 0 {
+		t.Fatalf("disk index len = %d, want 0 after the v1 entry is dropped", got)
+	}
+	if n := diskFiles(t, dir); n != 0 {
+		t.Fatalf("v1 entry file still on disk (%d files)", n)
 	}
 }

@@ -167,13 +167,23 @@ func EvaluateContext(ctx context.Context, tgt Target, ts *TestSet, cfg EvalConfi
 		return out, fmt.Errorf("detect: infected netlist has fewer outputs than golden")
 	}
 
-	// The golden and infected circuits go through the context's
-	// simulation service as two blocks per batch. Each Read copies only
-	// the words the comparison needs (output drivers and the trigger
-	// net), masked to the batch's live patterns, so the outcome is
-	// byte-identical no matter where the blocks execute or what stale
-	// lanes sit beside them in a shared engine.
-	svc := sim.ServiceFor(ctx)
+	gp, err := sim.AcquirePacked(tgt.Golden, words)
+	if err != nil {
+		return out, err
+	}
+	defer sim.ReleasePacked(gp)
+	gp.SetWorkers(cfg.Workers)
+	gp.SetRegistry(reg)
+	ip, err := sim.AcquirePacked(tgt.Infected, words)
+	if err != nil {
+		return out, err
+	}
+	defer sim.ReleasePacked(ip)
+	ip.SetWorkers(cfg.Workers)
+	ip.SetRegistry(reg)
+	// The comparison reads only the words it needs (output drivers and
+	// the trigger net), masked to the batch's live patterns, so stale
+	// words past the last vector never reach the outcome.
 	gOut := make([]uint64, nOuts*words)
 	iOut := make([]uint64, nOuts*words)
 	trig := make([]uint64, words)
@@ -206,52 +216,37 @@ func EvaluateContext(ctx context.Context, tgt Target, ts *TestSet, cfg EvalConfi
 		}
 		// Inputs load identically into both circuits: the infected
 		// netlist shares IDs with golden for all original gates.
-		fill := func(b sim.Block) {
-			for j, id := range ts.Inputs {
-				for w := 0; w < cw; w++ {
-					var word uint64
-					lim := count - w*64
-					if lim > 64 {
-						lim = 64
-					}
-					for p := 0; p < lim; p++ {
-						if ts.Vectors[base+w*64+p][j] {
-							word |= 1 << uint(p)
-						}
-					}
-					b.SetWord(id, w, word)
+		for j, id := range ts.Inputs {
+			for w := 0; w < cw; w++ {
+				var word uint64
+				lim := count - w*64
+				if lim > 64 {
+					lim = 64
 				}
+				for p := 0; p < lim; p++ {
+					if ts.Vectors[base+w*64+p][j] {
+						word |= 1 << uint(p)
+					}
+				}
+				gp.SetWord(id, w, word)
+				ip.SetWord(id, w, word)
 			}
 		}
-		if err := svc.Simulate(ctx, &sim.Request{
-			Netlist: tgt.Golden, Words: words, Workers: cfg.Workers,
-			Fill: fill,
-			Read: func(b sim.Block) {
-				for k, g := range goldenOuts {
-					for w := 0; w < cw; w++ {
-						gOut[k*words+w] = mask(w, b.Word(g, w))
-					}
-				}
-			},
-		}); err != nil {
-			return out, err
+		gp.Run()
+		ip.Run()
+		for k, g := range goldenOuts {
+			for w := 0; w < cw; w++ {
+				gOut[k*words+w] = mask(w, gp.Word(g, w))
+			}
 		}
-		if err := svc.Simulate(ctx, &sim.Request{
-			Netlist: tgt.Infected, Words: words, Workers: cfg.Workers,
-			Fill: fill,
-			Read: func(b sim.Block) {
-				for k := 0; k < nOuts; k++ {
-					i := infectedOuts[k]
-					for w := 0; w < cw; w++ {
-						iOut[k*words+w] = mask(w, b.Word(i, w))
-					}
-				}
-				for w := 0; w < cw; w++ {
-					trig[w] = mask(w, b.Word(tgt.TriggerOut, w))
-				}
-			},
-		}); err != nil {
-			return out, err
+		for k := 0; k < nOuts; k++ {
+			i := infectedOuts[k]
+			for w := 0; w < cw; w++ {
+				iOut[k*words+w] = mask(w, ip.Word(i, w))
+			}
+		}
+		for w := 0; w < cw; w++ {
+			trig[w] = mask(w, ip.Word(tgt.TriggerOut, w))
 		}
 
 		if !out.Triggered {

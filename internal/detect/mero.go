@@ -227,15 +227,19 @@ func MEROContext(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg MERO
 const meroScoreWords = 32
 
 // scorePool counts, for every vector, how many rare nodes it drives to
-// their rare values, submitting 2048-vector blocks to the context's
-// simulation service. The counts are exactly those the event-driven
-// scorer produced (same vectors, same semantics), just 64 per word
-// instead of one per propagation — and bit-identical whether the blocks
-// run on a private pooled engine or packed into a shared one, because
-// each block reads back only the word window it loaded.
+// their rare values, simulating 2048-vector batches on one pooled
+// engine. The counts are exactly those the event-driven scorer produced
+// (same vectors, same semantics), just 64 per word instead of one per
+// propagation.
 func scorePool(ctx context.Context, n *netlist.Netlist, nodes []rare.Node, inputs []netlist.GateID, vecs [][]bool, workers int) ([]int, error) {
 	hits := make([]int, len(vecs))
-	svc := sim.ServiceFor(ctx)
+	p, err := sim.AcquirePacked(n, meroScoreWords)
+	if err != nil {
+		return nil, err
+	}
+	defer sim.ReleasePacked(p)
+	p.SetWorkers(workers)
+	p.SetRegistry(obs.FromContext(ctx))
 	batch := 64 * meroScoreWords
 	ctxDone := ctx.Done()
 	for base := 0; base < len(vecs); base += batch {
@@ -251,48 +255,36 @@ func scorePool(ctx context.Context, n *netlist.Netlist, nodes []rare.Node, input
 		if count > batch {
 			count = batch
 		}
-		base := base
-		req := &sim.Request{
-			Netlist: n,
-			Words:   meroScoreWords,
-			Workers: workers,
-			Fill: func(b sim.Block) {
-				for j, id := range inputs {
-					for w := 0; w*64 < count; w++ {
-						var word uint64
-						lim := count - w*64
-						if lim > 64 {
-							lim = 64
-						}
-						for p := 0; p < lim; p++ {
-							if vecs[base+w*64+p][j] {
-								word |= 1 << uint(p)
-							}
-						}
-						b.SetWord(id, w, word)
+		for j, id := range inputs {
+			for w := 0; w*64 < count; w++ {
+				var word uint64
+				lim := count - w*64
+				if lim > 64 {
+					lim = 64
+				}
+				for b := 0; b < lim; b++ {
+					if vecs[base+w*64+b][j] {
+						word |= 1 << uint(b)
 					}
 				}
-			},
-			Read: func(b sim.Block) {
-				for _, node := range nodes {
-					for w := 0; w*64 < count; w++ {
-						word := b.Word(node.ID, w)
-						if node.RareValue == 0 {
-							word = ^word
-						}
-						if lim := count - w*64; lim < 64 {
-							word &= (uint64(1) << uint(lim)) - 1
-						}
-						for word != 0 {
-							hits[base+w*64+bits.TrailingZeros64(word)]++
-							word &= word - 1
-						}
-					}
-				}
-			},
+				p.SetWord(id, w, word)
+			}
 		}
-		if err := svc.Simulate(ctx, req); err != nil {
-			return nil, err
+		p.Run()
+		for _, node := range nodes {
+			for w := 0; w*64 < count; w++ {
+				word := p.Word(node.ID, w)
+				if node.RareValue == 0 {
+					word = ^word
+				}
+				if lim := count - w*64; lim < 64 {
+					word &= (uint64(1) << uint(lim)) - 1
+				}
+				for word != 0 {
+					hits[base+w*64+bits.TrailingZeros64(word)]++
+					word &= word - 1
+				}
+			}
 		}
 	}
 	return hits, nil

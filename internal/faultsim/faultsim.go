@@ -134,51 +134,39 @@ func (s *Simulator) evalGood() {
 	evalImage(s.n, s.topo, s.words, s.good, nil)
 }
 
-// setInputsService is SetInputs with the good-circuit image computed
-// through the context's simulation service instead of the local
-// evalImage walk: the pattern load and the full post-simulation image
-// are shuttled through one Block, so under the serving daemon the
-// good-image runs of many concurrent coverage jobs share wide engines.
-// Input words beyond the loaded count are zeroed exactly as SetInputs
-// zeroes them, and the packed kernels compute the same two-valued
-// logic evalImage computes, so the resulting image — and every
-// DetectMask derived from it — is byte-identical to the local path.
-func (s *Simulator) setInputsService(ctx context.Context, svc sim.Service, vectors [][]bool) (int, error) {
+// setInputsPacked is SetInputs with the good-circuit image computed on
+// the packed engine p (compiled for s's netlist, s.words wide) instead
+// of the local evalImage walk. Input words beyond the loaded count are
+// zeroed exactly as SetInputs zeroes them, and the packed kernels
+// compute the same two-valued logic evalImage computes, so the image —
+// and every DetectMask derived from it — is byte-identical to
+// SetInputs.
+func (s *Simulator) setInputsPacked(p *sim.Packed, vectors [][]bool) int {
 	inputs := s.n.CombInputs()
 	count := len(vectors)
 	if count > s.Patterns() {
 		count = s.Patterns()
 	}
 	W := s.words
-	err := svc.Simulate(ctx, &sim.Request{
-		Netlist: s.n,
-		Words:   W,
-		Fill: func(b sim.Block) {
-			for j, id := range inputs {
-				for w := 0; w < W; w++ {
-					var word uint64
-					for p := w * 64; p < count && p < (w+1)*64; p++ {
-						if vectors[p][j] {
-							word |= 1 << uint(p%64)
-						}
-					}
-					b.SetWord(id, w, word)
+	for j, id := range inputs {
+		for w := 0; w < W; w++ {
+			var word uint64
+			for b := w * 64; b < count && b < (w+1)*64; b++ {
+				if vectors[b][j] {
+					word |= 1 << uint(b%64)
 				}
 			}
-		},
-		Read: func(b sim.Block) {
-			for g := range s.n.Gates {
-				base := g * W
-				for w := 0; w < W; w++ {
-					s.good[base+w] = b.Word(netlist.GateID(g), w)
-				}
-			}
-		},
-	})
-	if err != nil {
-		return 0, err
+			p.SetWord(id, w, word)
+		}
 	}
-	return count, nil
+	p.Run()
+	for g := range s.n.Gates {
+		base := g * W
+		for w := 0; w < W; w++ {
+			s.good[base+w] = p.Word(netlist.GateID(g), w)
+		}
+	}
+	return count
 }
 
 // DetectMask simulates one fault against the currently loaded patterns
@@ -363,7 +351,13 @@ func RunContext(ctx context.Context, n *netlist.Netlist, vectors [][]bool, fault
 	for len(sims) < workers {
 		sims = append(sims, s.Fork())
 	}
-	svc := sim.ServiceFor(ctx)
+	good, err := sim.AcquirePacked(n, words)
+	if err != nil {
+		return cov, err
+	}
+	defer sim.ReleasePacked(good)
+	good.SetWorkers(0) // all cores: the fault workers idle while it runs
+	good.SetRegistry(obs.FromContext(ctx))
 	ctxDone := ctx.Done()
 	firsts := make([]int, len(faults))
 	remaining := append([]Fault(nil), faults...)
@@ -385,10 +379,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, vectors [][]bool, fault
 			if hi > len(vectors) {
 				hi = len(vectors)
 			}
-			count, err := s.setInputsService(ctx, svc, vectors[base:hi])
-			if err != nil {
-				return err
-			}
+			count := s.setInputsPacked(good, vectors[base:hi])
 			if workers == 1 || len(remaining) < 2 {
 				for i, f := range remaining {
 					firsts[i] = firstSetBit(s.DetectMask(f), count)

@@ -157,18 +157,16 @@ func ExtractContext(ctx context.Context, n *netlist.Netlist, cfg Config) (*Set, 
 	if cfg.Threshold >= 1 {
 		return nil, fmt.Errorf("rare: threshold %v must be a fraction < 1", cfg.Threshold)
 	}
-	// Pattern blocks go through the context's simulation service: the
-	// default Exclusive service reproduces the dedicated-engine path
-	// exactly, while under the serving daemon the blocks of many
-	// concurrent extractions share wide engines. Bit-identical either
-	// way: the vector draw order is fixed here (FillRandom walks
-	// CombInputs order, word-ascending, per block) and each block only
-	// ever sees its own word window.
-	svc := sim.ServiceFor(ctx)
-	inputs := n.CombInputs()
 	reg := obs.FromContext(ctx)
 	met := metersFor(reg)
 	met.extractions.Inc()
+	p, err := sim.AcquirePacked(n, cfg.BatchWords)
+	if err != nil {
+		return nil, err
+	}
+	defer sim.ReleasePacked(p)
+	p.SetWorkers(cfg.Workers)
+	p.SetRegistry(reg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ones := make([]int64, n.NumGates())
 	done := ctx.Done()
@@ -186,17 +184,9 @@ func ExtractContext(ctx context.Context, n *netlist.Netlist, cfg Config) (*Set, 
 		if batch > remaining {
 			batch = remaining
 		}
-		count := batch
-		req := &sim.Request{
-			Netlist: n,
-			Words:   cfg.BatchWords,
-			Workers: cfg.Workers,
-			Fill:    func(b sim.Block) { sim.FillRandom(b, inputs, rng) },
-			Read:    func(b sim.Block) { b.CountOnes(ones, count) },
-		}
-		if err := svc.Simulate(ctx, req); err != nil {
-			return partialSet(n, cfg, ones, cfg.Vectors-remaining, met), err
-		}
+		p.Randomize(rng)
+		p.Run()
+		p.CountOnes(ones, batch)
 		remaining -= batch
 		met.vectors.Add(int64(batch))
 		if cfg.Progress != nil {

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"cghti/internal/obs"
 )
 
 // mixedJob is one unit of the batch-smoke workload: a generate or
@@ -24,10 +22,10 @@ type mixedJob struct {
 }
 
 // canonicalResult reduces a finished job's result to the byte sequence
-// that must be identical between a serial exclusive-engine run and a
-// concurrent batched run. For detect jobs that is the whole result; for
-// generate jobs the emitted benchmarks (CachedStages legitimately
-// differs with artifact-cache timing under concurrency).
+// that must be identical between a serial run and a concurrent run.
+// For detect jobs that is the whole result; for generate jobs the
+// emitted benchmarks (CachedStages legitimately differs with
+// artifact-cache timing under concurrency).
 func canonicalResult(t *testing.T, kind string, result any) string {
 	t.Helper()
 	raw, err := json.Marshal(result)
@@ -85,13 +83,11 @@ func runMixed(t *testing.T, ts *httptest.Server, jobs []*mixedJob, parallel bool
 	wg.Wait()
 }
 
-// TestBatchSmoke is the CI batchsmoke gate: 8 concurrent mixed jobs
-// (generate + detect over two base circuits) on a daemon whose
-// simulation blocks multiplex onto shared batched engines must produce
-// byte-identical results to the same jobs run one at a time on a daemon
-// with exclusive per-block engines. It also pins that the batched run
-// actually exercised the shared path (sim.batch_* counters moved) and
-// that the new metrics reach the Prometheus exposition.
+// TestBatchSmoke runs 8 concurrent mixed jobs (generate + detect over
+// two base circuits, sharing compiled simulation programs) and requires
+// byte-identical results to the same jobs run one at a time. It also
+// pins that the shared-program registry's hits reach the Prometheus
+// exposition.
 func TestBatchSmoke(t *testing.T) {
 	c17 := benchText(t, "c17")
 	c432 := benchText(t, "c432")
@@ -99,7 +95,7 @@ func TestBatchSmoke(t *testing.T) {
 	// Seed infected netlists for the detect jobs: one generate per
 	// circuit, run on a throwaway serial server so both phases get
 	// identical detect inputs.
-	prep := New(Config{Workers: 1, QueueDepth: 8, SimBatchWords: -1})
+	prep := New(Config{Workers: 1, QueueDepth: 8})
 	prep.Start()
 	pts := httptest.NewServer(prep.Handler())
 	infected := map[string]GeneratedBench{}
@@ -155,8 +151,8 @@ func TestBatchSmoke(t *testing.T) {
 		return jobs
 	}
 
-	// Phase A: serial baseline — one worker, batching disabled.
-	serial := New(Config{Workers: 1, QueueDepth: 16, SimBatchWords: -1})
+	// Phase A: serial baseline — one worker.
+	serial := New(Config{Workers: 1, QueueDepth: 16})
 	serial.Start()
 	sts := httptest.NewServer(serial.Handler())
 	baseline := mkJobs()
@@ -164,15 +160,12 @@ func TestBatchSmoke(t *testing.T) {
 	sts.Close()
 	serial.Drain(context.Background())
 
-	// Phase B: 8 concurrent jobs multiplexed onto shared engines.
-	fill0 := obs.Default().Counter("sim.batch_fill").Value()
-	cap0 := obs.Default().Counter("sim.batch_capacity").Value()
-	runs0 := obs.Default().Counter("sim.batch_runs").Value()
-	batched := New(Config{Workers: 8, QueueDepth: 16})
-	batched.Start()
-	bts := httptest.NewServer(batched.Handler())
+	// Phase B: the same jobs, 8 at once.
+	conc := New(Config{Workers: 8, QueueDepth: 16})
+	conc.Start()
+	cts := httptest.NewServer(conc.Handler())
 	concurrent := mkJobs()
-	runMixed(t, bts, concurrent, true)
+	runMixed(t, cts, concurrent, true)
 
 	if t.Failed() {
 		t.FailNow()
@@ -180,33 +173,21 @@ func TestBatchSmoke(t *testing.T) {
 	for i, want := range baseline {
 		got := concurrent[i]
 		if got.result != want.result {
-			t.Errorf("%s: batched result differs from serial baseline\nserial:  %s\nbatched: %s",
+			t.Errorf("%s: concurrent result differs from serial baseline\nserial:     %s\nconcurrent: %s",
 				want.tag, want.result, got.result)
 		}
 	}
 
-	fill := obs.Default().Counter("sim.batch_fill").Value() - fill0
-	capacity := obs.Default().Counter("sim.batch_capacity").Value() - cap0
-	runs := obs.Default().Counter("sim.batch_runs").Value() - runs0
-	if runs == 0 || fill == 0 {
-		t.Errorf("batched run never used the shared path: runs=%d fill=%d", runs, fill)
-	}
-	if fill > capacity {
-		t.Errorf("batch fill %d exceeds capacity %d", fill, capacity)
-	}
-
-	// The utilization metrics must reach the Prometheus exposition.
-	resp, err := http.Get(bts.URL + "/metrics")
+	// The registry metric must reach the Prometheus exposition.
+	resp, err := http.Get(cts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, metric := range []string{"sim_batch_fill", "sim_batch_capacity", "sim_shared_program_hits", "sim_block_wait_seconds"} {
-		if !strings.Contains(string(body), metric) {
-			t.Errorf("/metrics is missing %s", metric)
-		}
+	if !strings.Contains(string(body), "sim_shared_program_hits") {
+		t.Error("/metrics is missing sim_shared_program_hits")
 	}
-	bts.Close()
-	batched.Drain(context.Background())
+	cts.Close()
+	conc.Drain(context.Background())
 }

@@ -26,7 +26,6 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("PUT /v1/artifacts/{fp}", s.handleArtifactPut)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetricsProm)
-	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	return timed(mux)
 }
 
@@ -334,20 +333,4 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	gaugeRunning.Set(busy)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.WritePrometheus(w, obs.Default().Snapshot())
-}
-
-// handleMetricsJSON is the pre-Prometheus JSON metrics body, kept at
-// /metrics.json so consumers of the original /metrics shape keep
-// working (histograms are deliberately absent — this is the legacy
-// shape, verbatim).
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	snap := obs.Default().Snapshot()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"counters": snap.Counters,
-		"gauges":   snap.Gauges,
-		"queue": map[string]int{
-			"depth":    len(s.queue),
-			"capacity": cap(s.queue),
-		},
-	})
 }

@@ -31,7 +31,6 @@ import (
 	"cghti/internal/artifact"
 	"cghti/internal/journal"
 	"cghti/internal/obs"
-	"cghti/internal/sim"
 )
 
 // Server metrics live in the process default registry: the daemon's own
@@ -129,15 +128,6 @@ type Config struct {
 	// ForwardTimeout bounds one proxied submission
 	// (DefaultForwardTimeout if 0).
 	ForwardTimeout time.Duration
-	// SimBatchWords is the shared simulation engine width in 64-pattern
-	// words: every job's pattern blocks are multiplexed onto one
-	// process-wide batching service (sim.Batcher), so concurrent jobs
-	// targeting the same circuit structure pack into the idle bit-lanes
-	// of one engine instead of each running a mostly-empty one. 0 uses
-	// sim.DefaultEngineWords; negative disables batching (each block
-	// gets an exclusive pooled engine, the pre-batching behavior).
-	// Results are bit-identical either way.
-	SimBatchWords int
 }
 
 func (c Config) withDefaults() Config {
@@ -271,10 +261,6 @@ type Server struct {
 	started time.Time
 	snap0   obs.Snapshot
 
-	// batcher is the process-wide batching simulation service every
-	// job's context carries (nil when Config.SimBatchWords < 0).
-	batcher *sim.Batcher
-
 	// ring and forward are the fleet state (nil outside fleet mode):
 	// the consistent-hash ownership ring and the HTTP client submissions
 	// are proxied with.
@@ -294,12 +280,6 @@ func New(cfg Config) *Server {
 		idem:    make(map[string]string),
 		started: time.Now(),
 		snap0:   obs.Default().Snapshot(),
-	}
-	if cfg.SimBatchWords >= 0 {
-		s.batcher = sim.NewBatcher(sim.BatcherConfig{
-			EngineWords: cfg.SimBatchWords, // 0 -> sim.DefaultEngineWords
-			Workers:     cfg.JobWorkers,
-		})
 	}
 	if len(cfg.Peers) > 0 {
 		s.ring = newRing(cfg.Advertise, cfg.Peers)
@@ -364,13 +344,6 @@ func (s *Server) runJob(j *Job) {
 	trace := obs.NewTrace()
 	ctx, cancel := context.WithCancel(context.Background())
 	ctx = obs.WithRegistry(ctx, reg)
-	// Route the job's simulation blocks through the shared batching
-	// service, keyed by job ID for fair-share packing. Canceling the job
-	// context withdraws its still-queued blocks from the batcher.
-	if s.batcher != nil {
-		ctx = sim.WithService(ctx, s.batcher)
-		ctx = sim.WithJobKey(ctx, j.ID)
-	}
 
 	s.mu.Lock()
 	if j.Status != StatusQueued { // canceled while queued
@@ -659,12 +632,6 @@ func (s *Server) Drain(ctx context.Context) *obs.Report {
 		}
 		s.mu.Unlock()
 		<-done
-	}
-
-	// All workers have exited; no job can submit more blocks, so the
-	// shared simulation service can release its engines.
-	if s.batcher != nil {
-		s.batcher.Close()
 	}
 
 	// No worker is pulling anymore; everything left in the queue never

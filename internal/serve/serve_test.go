@@ -391,35 +391,6 @@ func TestDrainFinishesFastJobs(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONEndpoint pins the legacy JSON body at /metrics.json:
-// the pre-Prometheus shape (process counters plus queue occupancy),
-// with an explicit JSON Content-Type, so consumers of the original
-// /metrics endpoint keep working after the format switch.
-func TestMetricsJSONEndpoint(t *testing.T) {
-	s := New(Config{QueueDepth: 5})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("/metrics.json Content-Type = %q, want application/json", ct)
-	}
-	m := decodeBody[map[string]any](t, resp)
-	q, ok := m["queue"].(map[string]any)
-	if !ok {
-		t.Fatalf("metrics missing queue section: %v", m)
-	}
-	if int(q["capacity"].(float64)) != 5 {
-		t.Fatalf("queue capacity = %v, want 5", q["capacity"])
-	}
-	if _, ok := m["counters"]; !ok {
-		t.Fatal("metrics missing counters section")
-	}
-}
-
 // TestHealthzSaturation pins the enriched probe body: queue occupancy
 // and busy workers, so probes can tell "idle" from "saturated". The
 // server is never Started, so queued jobs stay queued deterministically.

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"context"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"cghti/internal/gen"
@@ -87,58 +85,6 @@ func BenchmarkPackedSimCounters(b *testing.B) {
 			}
 		})
 	}
-}
-
-// benchFleet measures aggregate fleet throughput: jobs concurrent
-// submitters each push narrow blocks of the same circuit through svc —
-// the serving daemon's workload shape. Exclusive gives each block its
-// own engine run; the batcher packs the fleet's blocks side by side
-// into shared wide engines. Reported as patterns/s across the fleet.
-func benchFleet(b *testing.B, svc Service, jobs, words int) {
-	b.Helper()
-	n, err := gen.Benchmark("c880")
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := n.CombInputs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for j := 0; j < jobs; j++ {
-			j := j
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(j + 1)))
-				ctx := WithJobKey(context.Background(), "job"+itoa(j))
-				err := svc.Simulate(ctx, &Request{
-					Netlist: n, Words: words, Workers: 1,
-					Fill: func(bl Block) { FillRandom(bl, inputs, rng) },
-					Read: func(bl Block) { sinkWord += bl.Word(n.POs[0], 0) },
-				})
-				if err != nil {
-					b.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	b.StopTimer()
-	patterns := float64(b.N) * float64(jobs) * float64(64*words)
-	b.ReportMetric(patterns/b.Elapsed().Seconds(), "patterns/s")
-}
-
-// BenchmarkSimServiceFleet is the shared-vs-exclusive engine pair `make
-// bench` records in BENCH_sim.json: the same 8-job fleet of 4-word
-// blocks, once on exclusive pooled engines and once multiplexed onto
-// the batching service (one 32-word engine packs the whole fleet).
-func BenchmarkSimServiceFleet(b *testing.B) {
-	b.Run("exclusive/jobs8", func(b *testing.B) { benchFleet(b, Exclusive{}, 8, 4) })
-	b.Run("shared/jobs8", func(b *testing.B) {
-		bt := NewBatcher(BatcherConfig{EngineWords: 32})
-		defer bt.Close()
-		benchFleet(b, bt, 8, 4)
-	})
 }
 
 var sinkWord uint64

@@ -19,11 +19,9 @@
 //     bit-flip inner loop.
 //
 // Callers that simulate in rounds (rare extraction, MERO scoring,
-// detection sampling) should recycle engines through AcquirePacked /
-// ReleasePacked (pool.go) instead of rebuilding the per-gate word
-// arrays every round; batch-oriented callers should go through the
-// Service interface (service.go), which lets the daemon multiplex
-// pattern blocks from many jobs onto one engine.
+// detection sampling, fault simulation's good image) should recycle
+// engines through AcquirePacked / ReleasePacked (pool.go) instead of
+// rebuilding the per-gate word arrays every round.
 package sim
 
 import (
@@ -276,30 +274,21 @@ func (p *Packed) Run() {
 	p.met.runTime.Observe(time.Since(start))
 }
 
-func (p *Packed) run() { p.runWords(p.words) }
-
-// runWords propagates only the first live pattern words through the
-// logic — the batching service's partial-cycle path: blocks pack
-// contiguously from word 0, so a half-filled shared engine costs half
-// an engine run, not a full one. Words beyond live keep whatever stale
-// values they held. live == p.words is exactly Run.
-func (p *Packed) runWords(live int) {
-	if live > p.words {
-		live = p.words
-	}
+func (p *Packed) run() {
+	W := p.words
 	p.met.packedRuns.Inc()
-	p.met.packedVectors.Add(int64(64 * live))
-	shards := p.shardCount(live)
+	p.met.packedVectors.Add(int64(64 * W))
+	shards := p.shardCount()
 	if shards <= 1 {
 		// Word-sharding can't engage (narrow batch). On a big program
 		// with a worker budget, cut along level bands instead: one
 		// giant netlist's levels split across cores (see program.go).
 		if p.workers > 1 && p.prog.levelEnd != nil && len(p.prog.ops) >= levelParMinOps {
 			p.met.levelRuns.Inc()
-			runProgramLevels(p.prog.ops, p.prog.levelEnd, p.vals, p.words, live, p.workers)
+			runProgramLevels(p.prog.ops, p.prog.levelEnd, p.vals, W, p.workers)
 			return
 		}
-		runProgram(p.prog.ops, p.vals, p.words, 0, live)
+		runProgram(p.prog.ops, p.vals, W, 0, W)
 		return
 	}
 	p.met.packedShards.Add(int64(shards))
@@ -312,8 +301,8 @@ func (p *Packed) runWords(live int) {
 	var panicOnce sync.Once
 	var panicVal any
 	for s := 0; s < shards; s++ {
-		lo := s * live / shards
-		hi := (s + 1) * live / shards
+		lo := s * W / shards
+		hi := (s + 1) * W / shards
 		if lo == hi {
 			continue
 		}
@@ -325,7 +314,7 @@ func (p *Packed) runWords(live int) {
 					panicOnce.Do(func() { panicVal = r })
 				}
 			}()
-			runProgram(p.prog.ops, p.vals, p.words, lo, hi)
+			runProgram(p.prog.ops, p.vals, W, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -334,12 +323,12 @@ func (p *Packed) runWords(live int) {
 	}
 }
 
-// shardCount resolves the effective shard count for a run over live
-// words: never more than the worker budget, and never so many that a
-// shard drops below minShardWords.
-func (p *Packed) shardCount(live int) int {
+// shardCount resolves the effective shard count for a run: never more
+// than the worker budget, and never so many that a shard drops below
+// minShardWords.
+func (p *Packed) shardCount() int {
 	shards := p.workers
-	if max := live / minShardWords; shards > max {
+	if max := p.words / minShardWords; shards > max {
 		shards = max
 	}
 	return shards

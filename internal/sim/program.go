@@ -256,10 +256,10 @@ const (
 	levelParMinBandOps = 2048
 )
 
-// runProgramLevels evaluates prog over the first live pattern words
-// (stride W), splitting each level band across up to workers
-// goroutines. levelEnd must be the program's band table.
-func runProgramLevels(prog []op, levelEnd []int32, vals []uint64, W, live, workers int) {
+// runProgramLevels evaluates prog over all W pattern words, splitting
+// each level band across up to workers goroutines. levelEnd must be the
+// program's band table.
+func runProgramLevels(prog []op, levelEnd []int32, vals []uint64, W, workers int) {
 	var wg sync.WaitGroup
 	var panicOnce sync.Once
 	var panicVal any
@@ -272,7 +272,7 @@ func runProgramLevels(prog []op, levelEnd []int32, vals []uint64, W, live, worke
 			nw = workers
 		}
 		if nw <= 1 {
-			runProgram(band, vals, W, 0, live)
+			runProgram(band, vals, W, 0, W)
 			continue
 		}
 		for s := 0; s < nw; s++ {
@@ -289,7 +289,7 @@ func runProgramLevels(prog []op, levelEnd []int32, vals []uint64, W, live, worke
 						panicOnce.Do(func() { panicVal = r })
 					}
 				}()
-				runProgram(ops, vals, W, 0, live)
+				runProgram(ops, vals, W, 0, W)
 			}(band[lo:hi])
 		}
 		wg.Wait()

@@ -1,8 +1,6 @@
 // Pipeline-cache benchmark: cold (fresh cache, every stage computes and
 // stores) vs warm (pre-warmed cache, the expensive stages are served
-// from it) on the paper's reference circuits. Recorded separately from
-// the simulation benchmarks as BENCH_pipeline.json (see the Makefile's
-// bench target) so the warm-run speedup can be committed and diffed.
+// from it) on the paper's reference circuits.
 package cghti_test
 
 import (

@@ -1,12 +1,11 @@
 // Scale benchmarks: the million-gate path (streaming parse, arena
 // levelize, rare extraction, PODEM cube generation, partitioned
 // compatibility-edge build) measured in gates/s at 10⁵ and 10⁶ gates on
-// hierarchical synthetic SoCs. Recorded as BENCH_scale.json by `make bench` (see
-// cmd/benchjson) so datapoints can be committed and diffed.
+// hierarchical synthetic SoCs.
 //
-// Run with -benchtime 1x (the Makefile does): each iteration processes
-// the whole netlist, so one iteration is already a stable sample and
-// the default 1s auto-scaling would re-run multi-second setups.
+// Run with -benchtime 1x: each iteration processes the whole netlist,
+// so one iteration is already a stable sample and the default 1s
+// auto-scaling would re-run multi-second setups.
 package cghti_test
 
 import (
