@@ -48,6 +48,7 @@ race:
 # regression that panics or hangs on malformed input fails the gate.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/bench
+	$(GO) test -run '^$$' -fuzz '^FuzzNameIndex$$' -fuzztime 5s ./internal/netlist
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/vparse
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s ./internal/journal
 

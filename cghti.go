@@ -59,28 +59,39 @@ func CircuitNames() []string { return gen.Names() }
 // table column order.
 func PaperCircuits() []string { return gen.PaperCircuits() }
 
-// ParseBench reads a netlist in ISCAS .bench format.
-func ParseBench(r io.Reader, name string) (*Netlist, error) { return bench.Parse(r, name) }
+// ParseBench reads a netlist in ISCAS .bench format: ParseBenchStream
+// followed by ToNetlist. The result's name index is the parser's
+// intern table.
+func ParseBench(r io.Reader, name string) (*Netlist, error) {
+	c, err := bench.ParseStream(r, name)
+	if err != nil {
+		return nil, err
+	}
+	return c.ToNetlist()
+}
 
-// ParseBenchFile reads a .bench file.
+// ParseBenchFile reads a .bench file (ParseBenchFileStream followed by
+// ToNetlist).
 func ParseBenchFile(path string) (*Netlist, error) { return bench.ParseFile(path) }
 
-// ParseBenchString parses .bench text.
+// ParseBenchString parses .bench text (ParseBenchStream followed by
+// ToNetlist).
 func ParseBenchString(src, name string) (*Netlist, error) { return bench.ParseString(src, name) }
 
 // CompactNetlist is the arena (CSR) netlist form: typed parallel arrays
 // instead of per-gate structs, with fanin/fanout edges in two shared
-// index arenas. It is what the streaming parser emits; ToNetlist
-// expands it into the pointer form the pipeline runs on.
+// index arenas. It is what the parser emits; ToNetlist expands it into
+// the pointer form the pipeline runs on.
 type CompactNetlist = netlist.Compact
 
 // CompactOf converts a pointer-form netlist to the arena form.
 func CompactOf(n *Netlist) *CompactNetlist { return netlist.CompactOf(n) }
 
-// ParseBenchStream reads .bench input line-by-line into the arena form
-// without materializing the whole file or per-gate structs — the parser
-// for SoC-scale (10⁶–10⁷ gate) netlists. Produces the same circuit as
-// ParseBench followed by CompactOf.
+// ParseBenchStream is the .bench parser. It reads line by line into the
+// arena form without materializing the whole file or per-gate structs,
+// interning every net name once; the intern table becomes the frozen
+// name index that ToNetlist and every clone share. Every other
+// ParseBench* function is this parser followed by ToNetlist.
 func ParseBenchStream(r io.Reader, name string) (*CompactNetlist, error) {
 	return bench.ParseStream(r, name)
 }

@@ -192,6 +192,22 @@ func TestCircuitNames(t *testing.T) {
 	}
 }
 
+// TestParseBenchOneErrorContract: every ParseBench* entry point is the
+// one parser, so an input with several errors gets the same error from
+// each: the arity error on line 3, not the redefinition on line 4.
+func TestParseBenchOneErrorContract(t *testing.T) {
+	const src = "INPUT(a)\nOUTPUT(z)\nz = NOT(a, a)\nINPUT(a)\n"
+	const want = "bench: line 3: NOT takes exactly 1 argument, got 2"
+	_, errString := ParseBenchString(src, "multi")
+	_, errReader := ParseBench(strings.NewReader(src), "multi")
+	_, errStream := ParseBenchStream(strings.NewReader(src), "multi")
+	for name, err := range map[string]error{"ParseBenchString": errString, "ParseBench": errReader, "ParseBenchStream": errStream} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: got %v, want %s", name, err, want)
+		}
+	}
+}
+
 func TestBenchRoundTripThroughFacade(t *testing.T) {
 	n, err := Circuit("c17")
 	if err != nil {

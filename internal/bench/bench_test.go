@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 
@@ -95,20 +97,41 @@ y = AND(a, one)
 	}
 }
 
+// TestParseErrors pins the parser's error contract: one case per
+// ParseError site (message and line), the errors reported without a
+// line, and which error wins when an input has several.
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
-		name, src, wantSub string
+		name, src string
+		line      int    // ParseError line; 0 = not a ParseError
+		want      string // the full error text
 	}{
-		{"garbage", "INPUT(a)\nwhat is this", "expected"},
-		{"unknownGate", "INPUT(a)\ny = FROB(a)\nOUTPUT(y)", "unknown gate type"},
-		{"undefinedNet", "INPUT(a)\ny = AND(a, ghost)\nOUTPUT(y)", "undefined net"},
-		{"undefinedOutput", "INPUT(a)\nOUTPUT(ghost)\ny = NOT(a)", "undefined"},
-		{"duplicate", "INPUT(a)\na = NOT(a)\nOUTPUT(a)", "already defined"},
-		{"badArityNot", "INPUT(a)\nINPUT(b)\ny = NOT(a, b)\nOUTPUT(y)", "exactly 1"},
-		{"emptyArg", "INPUT(a)\ny = AND(a, )\nOUTPUT(y)", "empty argument"},
-		{"malformedInput", "INPUT a\n", "malformed"},
-		{"inputRHS", "INPUT(a)\ny = INPUT(a)\nOUTPUT(y)", "INPUT cannot"},
-		{"cycle", "INPUT(a)\nx = AND(a, y)\ny = BUFF(x)\nOUTPUT(y)", "cycle"},
+		{"malformedInput", "INPUT a\n", 1, `malformed INPUT declaration "INPUT a"`},
+		{"emptyInputName", "INPUT( )\n", 1, "empty INPUT name"},
+		{"duplicateInput", "INPUT(a)\nINPUT(a)\n", 2, `net "a" already defined on line 1`},
+		{"malformedOutput", "INPUT(a)\nOUTPUT a\n", 2, `malformed OUTPUT declaration "OUTPUT a"`},
+		{"emptyOutputName", "INPUT(a)\nOUTPUT()\n", 2, "empty OUTPUT name"},
+		{"garbage", "INPUT(a)\nwhat is this", 2, `expected INPUT/OUTPUT/assignment, got "what is this"`},
+		{"emptyLHS", "INPUT(a)\n = AND(a)\n", 2, "empty left-hand side"},
+		{"malformedGate", "INPUT(a)\ny = AND a\n", 2, `malformed gate expression "AND a"`},
+		{"missingOperator", "INPUT(a)\ny = (a)\n", 2, `missing operator in "(a)"`},
+		{"emptyArg", "INPUT(a)\ny = AND(a, )\nOUTPUT(y)", 2, `empty argument in "AND(a, )"`},
+		{"unknownGate", "INPUT(a)\ny = FROB(a)\nOUTPUT(y)", 2, `unknown gate type "FROB"`},
+		{"inputRHS", "INPUT(a)\ny = INPUT(a)\nOUTPUT(y)", 2, "INPUT cannot appear on the right-hand side"},
+		{"constArgs", "INPUT(a)\nk = CONST1(a)\n", 2, "CONST1 takes no arguments"},
+		{"badArityNot", "INPUT(a)\nINPUT(b)\ny = NOT(a, b)\nOUTPUT(y)", 3, "NOT takes exactly 1 argument, got 2"},
+		{"noArgs", "INPUT(a)\ny = AND()\n", 2, "AND needs at least 1 argument"},
+		{"duplicate", "INPUT(a)\na = NOT(a)\nOUTPUT(a)", 2, `net "a" already defined on line 1`},
+		{"undefinedNet", "INPUT(a)\ny = AND(a, ghost)\nOUTPUT(y)", 2, `undefined net "ghost"`},
+		// Several errors: the arity error on line 3 is reported, not the
+		// redefinition on line 4.
+		{"multiError", "INPUT(a)\nOUTPUT(z)\nz = NOT(a, a)\nINPUT(a)\n", 3, "NOT takes exactly 1 argument, got 2"},
+		// References to nets never defined are found at EOF, the first
+		// in assignment order.
+		{"undefinedFirst", "INPUT(a)\nOUTPUT(z)\nz = AND(a, y)\ny = OR(a, ghost)\nw = NOT(ghost2)\n", 4, `undefined net "ghost"`},
+		{"undefinedOutput", "INPUT(a)\nOUTPUT(ghost)\ny = NOT(a)", 0, "bench: OUTPUT(ghost) references an undefined net"},
+		{"cycle", "INPUT(a)\nx = AND(a, y)\ny = BUFF(x)\nOUTPUT(y)", 0, `netlist "cycle": combinational cycle detected (1 of 3 gates ordered)`},
+		{"noInputs", "OUTPUT(k)\nk = CONST1()\n", 0, `netlist "noInputs" invalid: no primary inputs`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,10 +139,31 @@ func TestParseErrors(t *testing.T) {
 			if err == nil {
 				t.Fatalf("parse accepted %q", tc.src)
 			}
-			if !strings.Contains(err.Error(), tc.wantSub) {
-				t.Errorf("error %q does not contain %q", err, tc.wantSub)
+			var pe *ParseError
+			isPE := errors.As(err, &pe)
+			switch {
+			case tc.line == 0 && isPE:
+				t.Fatalf("got ParseError %v, want a plain error", err)
+			case tc.line == 0:
+				if err.Error() != tc.want {
+					t.Fatalf("error %q, want %q", err, tc.want)
+				}
+			case !isPE:
+				t.Fatalf("want *ParseError, got %T: %v", err, err)
+			case pe.Line != tc.line || pe.Msg != tc.want:
+				t.Fatalf("error at line %d: %q, want line %d: %q", pe.Line, pe.Msg, tc.line, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseLineTooLong: a line past the scanner's 16 MiB limit is a
+// read error, not a hang or a truncated netlist.
+func TestParseLineTooLong(t *testing.T) {
+	src := "INPUT(a)\nOUTPUT(z)\nz = NOT(" + strings.Repeat("a", 16<<20) + ")\n"
+	_, err := ParseString(src, "long")
+	if err == nil || !strings.HasPrefix(err.Error(), "bench: read: ") || !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("got %v, want a bench: read: error wrapping bufio.ErrTooLong", err)
 	}
 }
 

@@ -6,10 +6,11 @@ import (
 )
 
 // FuzzParse throws arbitrary text at the .bench parser. Invalid input
-// must come back as an error — never a panic or a hang — and any input
-// that parses must survive a write/re-parse round trip, since the
-// generated HT benchmarks are emitted through Write and read back by
-// downstream tools.
+// must come back as an error — never a panic or a hang — and the
+// parser must accept exactly the inputs referenceParse accepts, with
+// byte-identical Write output. Any input that parses must also survive
+// a write/re-parse round trip, since the generated HT benchmarks are
+// emitted through Write and read back by downstream tools.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		// Minimal valid circuit.
@@ -33,30 +34,45 @@ func FuzzParse(f *testing.F) {
 		// forward references, case-folded ops and a DFF feedback loop
 		// in one circuit.
 		"INPUT(a)\nINPUT(b)\nOUTPUT(q)\nOUTPUT(q)\nOUTPUT(z)\ng = xnor(a, b)\nq = DFF(n)\nn = BUFF(g)\nz = nor(q, g, a)\n",
+		// Non-ASCII whitespace (U+00A0, U+0085, U+2003) around names and
+		// operators: trimmed exactly as strings.TrimSpace trims it.
+		"\u00a0INPUT(\u2003a\u0085)\nOUTPUT(z\u00a0)\nz\u0085=\u2003NOT\u00a0(\u00a0a\u2003)\u0085\n",
+		// A lone 0x85 byte is not U+0085: it stays part of the name.
+		"INPUT(a\x85)\nOUTPUT(z)\nz = NOT(a\x85)\n",
+		// CRLF line ends and tabs.
+		"INPUT(a)\r\nINPUT(b)\r\n\tOUTPUT(z)\r\nz\t=\tAND(a,\tb)\r\n",
+		// Mixed-case keywords and operators.
+		"input(a)\nOutPut(z)\ny = buff(a)\nq = ff(y)\nk = gnd()\nz = Nand(q, k, y)\n",
+		// A NUL byte inside a name.
+		"INPUT(a\x00b)\nOUTPUT(z)\nz = NOT(a\x00b)\n",
+		// Names that are prefixes of one another.
+		"INPUT(a)\nINPUT(ab)\nOUTPUT(abc)\nabc = AND(a, ab)\nabcd = OR(abc, a)\nOUTPUT(abcd)\n",
+		// '#' inside a call cuts the line.
+		"INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, # b)\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		n, err := Parse(strings.NewReader(src), "fuzz")
+		n, err := referenceParse(strings.NewReader(src), "fuzz")
 		c, serr := ParseStream(strings.NewReader(src), "fuzz")
 		if err != nil {
-			// The streaming parser must reject exactly the inputs the
-			// in-memory parser rejects (messages may differ).
+			// ParseStream must reject exactly the inputs the reference
+			// rejects (messages may differ).
 			if serr == nil {
-				t.Fatalf("Parse rejected (%v) but ParseStream accepted:\n%s", err, src)
+				t.Fatalf("referenceParse rejected (%v) but ParseStream accepted:\n%s", err, src)
 			}
 			return // rejected cleanly; that is the contract
 		}
 		if serr != nil {
-			t.Fatalf("Parse accepted but ParseStream rejected (%v):\n%s", serr, src)
+			t.Fatalf("referenceParse accepted but ParseStream rejected (%v):\n%s", serr, src)
 		}
 		sn, serr := c.ToNetlist()
 		if serr != nil {
 			t.Fatalf("ToNetlist failed on accepted input: %v\n%s", serr, src)
 		}
 		if sout := String(sn); sout != String(n) {
-			t.Fatalf("streaming parse differs from in-memory parse:\n--- in-memory ---\n%s\n--- streaming ---\n%s", String(n), sout)
+			t.Fatalf("ParseStream differs from referenceParse:\n--- reference ---\n%s\n--- ParseStream ---\n%s", String(n), sout)
 		}
 		out := String(n)
 		n2, err := ParseString(out, "fuzz")

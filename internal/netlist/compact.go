@@ -13,13 +13,14 @@ import "fmt"
 //
 // GateIDs are shared with the pointer form: CompactOf preserves IDs, so
 // per-gate data computed against one form indexes directly into the
-// other. The streaming .bench parser (internal/bench.ParseStream)
-// produces a Compact directly, without ever materializing per-gate
-// slices.
+// other. The .bench parser (internal/bench.ParseStream) produces a
+// Compact directly, without ever materializing per-gate slices, and
+// hands over its intern table as the frozen name index (SetNames).
 type Compact struct {
 	// Name is the circuit name.
 	Name string
-	// Names[g] is gate g's net name.
+	// Names[g] is gate g's net name. A parsed Compact's names are
+	// substrings of one string, and its name index covers them.
 	Names []string
 	// Types[g] is gate g's primitive function.
 	Types []GateType
@@ -38,13 +39,20 @@ type Compact struct {
 	// POMask[g] reports whether gate g drives a primary output.
 	POMask []bool
 
+	index     *NameIndex // frozen index over Names; nil until SetNames
 	topo      []GateID
 	levelized bool
 }
 
+// SetNames makes x the gate names and their frozen index: Names becomes
+// x's names in gate-ID order, and ToNetlist hands x on instead of
+// building an index. The .bench parser sets its intern table this way.
+func (c *Compact) SetNames(x *NameIndex) { c.Names, c.index = x.names, x }
+
 // CompactOf converts the pointer form to the arena form, preserving
 // gate IDs, port order, fanout insertion order and (when n is already
-// levelized) the cached levels and topological order.
+// levelized) the cached levels and topological order. The result has
+// no name index; ToNetlist builds one.
 func CompactOf(n *Netlist) *Compact {
 	num := len(n.Gates)
 	c := &Compact{
@@ -228,8 +236,8 @@ func (c *Compact) LevelHistogram() []int {
 }
 
 // EstimatedBytes estimates the resident memory of the arena form:
-// backing arrays plus name bytes. Slice headers and allocator slack are
-// not counted.
+// backing arrays, name bytes and the name index's table, if it holds
+// one. Slice headers and allocator slack are not counted.
 func (c *Compact) EstimatedBytes() int64 {
 	var names int64
 	for _, s := range c.Names {
@@ -244,7 +252,8 @@ func (c *Compact) EstimatedBytes() int64 {
 		4*edges + // FaninIdx + FanoutIdx
 		4*num + // Level
 		num + // POMask
-		4*ids
+		4*ids +
+		c.index.tableBytes()
 }
 
 // Validate checks the structural invariants the pointer form's Validate
@@ -293,12 +302,21 @@ func (c *Compact) Validate() error {
 }
 
 // ToNetlist expands the arena form back to the pointer form (per-gate
-// fanin and fanout lists copied into one slab, as CloneGrow does, and a
-// rebuilt name index), carrying over cached levels and topological
-// order. The name index is built frozen: every clone of the result
-// shares it instead of copying it. Use when an API needs *Netlist;
+// fanin and fanout lists copied into one slab, as CloneGrow does),
+// carrying over cached levels and topological order. The pointer form's
+// frozen name index is the Compact's own when it has one (a parsed
+// Compact does), so no map is built; otherwise ToNetlist indexes Names
+// and rejects a name two gates share. Every clone of the result shares
+// the index instead of copying it. Use when an API needs *Netlist;
 // large netlists should stay Compact as long as possible.
 func (c *Compact) ToNetlist() (*Netlist, error) {
+	names := c.index
+	if names == nil {
+		var err error
+		if names, err = indexNames(c.Name, c.Names); err != nil {
+			return nil, err
+		}
+	}
 	num := c.NumGates()
 	n := &Netlist{
 		Name:  c.Name,
@@ -306,17 +324,12 @@ func (c *Compact) ToNetlist() (*Netlist, error) {
 		PIs:   append([]GateID(nil), c.PIs...),
 		POs:   append([]GateID(nil), c.POs...),
 		DFFs:  append([]GateID(nil), c.DFFs...),
-		names: make(map[string]GateID, num),
+		names: names,
 	}
 	slab := make(idSlab, len(c.FaninIdx)+len(c.FanoutIdx))
 	for i := 0; i < num; i++ {
-		name := c.Names[i]
-		if prev, dup := n.names[name]; dup {
-			return nil, fmt.Errorf("netlist %q: gates %d and %d share name %q", c.Name, prev, i, name)
-		}
-		n.names[name] = GateID(i)
 		n.Gates[i] = Gate{
-			Name:   name,
+			Name:   c.Names[i],
 			Type:   c.Types[i],
 			Fanin:  slab.take(c.FaninOf(GateID(i))),
 			Fanout: slab.take(c.FanoutOf(GateID(i))),

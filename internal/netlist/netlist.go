@@ -84,9 +84,21 @@ func (t GateType) String() string {
 }
 
 // ParseGateType converts a .bench-style operator name ("AND", "nand",
-// "BUFF", "BUF", ...) to a GateType.
+// "BUFF", "BUF", ...) to a GateType. ASCII case is folded in a stack
+// buffer, so a lowercase name costs no allocation.
 func ParseGateType(s string) (GateType, bool) {
-	switch upper(s) {
+	var up [6]byte // the longest operator name, CONST0
+	if len(s) > len(up) {
+		return 0, false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	switch string(up[:len(s)]) {
 	case "INPUT":
 		return Input, true
 	case "BUF", "BUFF":
@@ -113,21 +125,6 @@ func ParseGateType(s string) (GateType, bool) {
 		return Const1, true
 	}
 	return 0, false
-}
-
-func upper(s string) string {
-	b := []byte(s)
-	changed := false
-	for i, c := range b {
-		if 'a' <= c && c <= 'z' {
-			b[i] = c - 'a' + 'A'
-			changed = true
-		}
-	}
-	if !changed {
-		return s
-	}
-	return string(b)
 }
 
 // IsSource reports whether the gate type has no fanin in the
@@ -195,12 +192,13 @@ type Netlist struct {
 	// DFFs lists flip-flop gate IDs in declaration order.
 	DFFs []GateID
 
-	// The name index has two layers. names is frozen: built once by
-	// Compact.ToNetlist over the gates it creates and shared read-only
-	// by every clone (nil for netlists assembled gate by gate). byName
-	// holds the names this netlist added beyond names; a clone copies
-	// only this overlay. A name lives in exactly one of the two.
-	names     map[string]GateID
+	// The name index has two layers. names is frozen: the parser's
+	// intern table, or built by Compact.ToNetlist, over the gates the
+	// netlist was created with, and shared read-only by every clone (nil
+	// for netlists assembled gate by gate). byName holds the names this
+	// netlist added beyond names; a clone copies only this overlay. A
+	// name lives in exactly one of the two.
+	names     *NameIndex
 	byName    map[string]GateID
 	levelized bool
 	topo      []GateID // cached topological order (combinational view)
@@ -228,7 +226,7 @@ func (n *Netlist) NumCells() int {
 
 // Lookup returns the gate ID with the given net name.
 func (n *Netlist) Lookup(name string) (GateID, bool) {
-	if id, ok := n.names[name]; ok {
+	if id, ok := n.names.Lookup(name); ok {
 		return id, true
 	}
 	id, ok := n.byName[name]
@@ -285,7 +283,7 @@ func (n *Netlist) MustAddGate(name string, t GateType) GateID {
 // backing arrays, which dominates construction time.
 func (n *Netlist) Grow(extra int) {
 	if n.byName == nil {
-		n.byName = make(map[string]GateID, len(n.Gates)-len(n.names)+extra)
+		n.byName = make(map[string]GateID, len(n.Gates)-n.names.Len()+extra)
 	}
 	if cap(n.Gates)-len(n.Gates) >= extra {
 		return
@@ -443,20 +441,22 @@ func (n *Netlist) CombOutputs() []GateID {
 
 // EstimatedBytes estimates the resident memory of the pointer form:
 // the gate structs, their per-gate fanin/fanout backing arrays, name
-// bytes and the name index. Allocator slack is not counted; the byName
-// entries use a flat per-entry estimate. Compare with
-// Compact.EstimatedBytes to see what the arena form saves.
+// bytes and both layers of the name index. Allocator slack is not
+// counted; the byName entries use a flat per-entry estimate. Compare
+// with Compact.EstimatedBytes to see what the arena form saves.
 func (n *Netlist) EstimatedBytes() int64 {
 	total := int64(unsafe.Sizeof(*n))
 	gateSize := int64(unsafe.Sizeof(Gate{}))
 	for i := range n.Gates {
 		g := &n.Gates[i]
 		total += gateSize + int64(len(g.Name)) + 4*int64(cap(g.Fanin)+cap(g.Fanout))
-		// byName entry: key string header + shared name bytes already
-		// counted; ~48 B covers the header, GateID value and bucket
-		// overhead.
-		total += 48
 	}
+	// Frozen index: its table plus a string header per name (the name
+	// bytes are the gates' own, counted above).
+	total += n.names.tableBytes() + 16*int64(n.names.Len())
+	// byName entry: ~48 B covers the key header, GateID value and bucket
+	// overhead.
+	total += 48 * int64(len(n.byName))
 	total += 4 * int64(len(n.PIs)+len(n.POs)+len(n.DFFs)+len(n.topo))
 	return total
 }

@@ -185,23 +185,32 @@ func TestSubmitValidation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// A netlist the parser rejects is answered with the parser's own
+	// message.
 	cases := []struct {
-		name string
-		body any
+		name    string
+		body    any
+		wantErr string // exact error body; "" = any
 	}{
-		{"bad netlist", GenerateRequest{Bench: "this is not a bench file"}},
+		{"bad netlist", GenerateRequest{Bench: "this is not a bench file"},
+			`bench: line 1: expected INPUT/OUTPUT/assignment, got "this is not a bench file"`},
 		{"bad payload", func() GenerateRequest {
 			r := genRequest(1)
 			r.Bench = benchText(t, "c17")
 			r.Payload = "explode"
 			return r
-		}()},
-		{"unknown field", map[string]any{"bench": "x", "bogus": true}},
+		}(), ""},
+		{"unknown field", map[string]any{"bench": "x", "bogus": true}, ""},
+		{"bad detect golden", DetectRequest{
+			Golden:   "INPUT(a)\nOUTPUT(z)\nz = NOT(a, a)\nINPUT(a)\n",
+			Infected: benchText(t, "c17"),
+			Trigger:  "22",
+		}, "golden: bench: line 3: NOT takes exactly 1 argument, got 2"},
 		{"bad detect trigger", DetectRequest{
 			Golden:   benchText(t, "c17"),
 			Infected: benchText(t, "c17"),
 			Trigger:  "no_such_net",
-		}},
+		}, ""},
 	}
 	for _, tc := range cases {
 		path := "/v1/generate"
@@ -209,9 +218,13 @@ func TestSubmitValidation(t *testing.T) {
 			path = "/v1/detect"
 		}
 		resp := postJSON(t, ts, path, tc.body)
-		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
 			t.Fatalf("%s: status = %d, want 400", tc.name, resp.StatusCode)
+		}
+		body := decodeBody[errorBody](t, resp)
+		if tc.wantErr != "" && body.Error != tc.wantErr {
+			t.Fatalf("%s: error %q, want %q", tc.name, body.Error, tc.wantErr)
 		}
 	}
 

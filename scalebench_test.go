@@ -1,5 +1,5 @@
-// Scale benchmarks: the million-gate path (streaming parse, arena
-// levelize, rare extraction, PODEM cube generation, partitioned
+// Scale benchmarks: the million-gate path (streaming parse, expansion
+// to the pointer form, arena levelize, rare extraction, PODEM cube generation, partitioned
 // compatibility-edge build) measured in gates/s at 10⁵ and 10⁶ gates on
 // hierarchical synthetic SoCs.
 //
@@ -84,6 +84,7 @@ func BenchmarkScaleParseStream(b *testing.B) {
 		b.Run(pt.label, func(b *testing.B) {
 			text := socText(b, pt.gates)
 			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c, err := cghti.ParseBenchStream(bytes.NewReader(text), "soc")
@@ -92,6 +93,28 @@ func BenchmarkScaleParseStream(b *testing.B) {
 				}
 				if c.NumGates() < pt.gates {
 					b.Fatalf("parsed %d gates, want >= %d", c.NumGates(), pt.gates)
+				}
+			}
+			reportGates(b, pt.gates)
+		})
+	}
+}
+
+// BenchmarkScaleToNetlist expands a parsed SoC to the pointer form. The
+// parser's intern table becomes the netlist's name index, so this is
+// the gate array and one edge slab, with no name map built.
+func BenchmarkScaleToNetlist(b *testing.B) {
+	for _, pt := range scalePoints {
+		b.Run(pt.label, func(b *testing.B) {
+			c, err := cghti.ParseBenchStream(bytes.NewReader(socText(b, pt.gates)), "soc")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.ToNetlist(); err != nil {
+					b.Fatal(err)
 				}
 			}
 			reportGates(b, pt.gates)
