@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt test race fuzz modcheck smoke scalesmoke recoversmoke fleetsmoke benchall
+.PHONY: ci build vet fmt test race fuzz modcheck deadpkg smoke scalesmoke recoversmoke fleetsmoke benchall
 
-ci: build vet fmt modcheck race fuzz smoke scalesmoke recoversmoke fleetsmoke
+ci: build vet fmt modcheck deadpkg race fuzz smoke scalesmoke recoversmoke fleetsmoke
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,16 @@ modcheck:
 	@ext=$$($(GO) list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' ./... | grep -v '^cghti' || true); \
 	if [ -n "$$ext" ]; then \
 		echo "non-stdlib imports outside the module:"; echo "$$ext"; exit 1; fi
+
+# No dead packages: every non-main package must be imported by some
+# other package, counting test imports (so a test-only helper such as
+# internal/obs/obstest stays legal). A package's own external test
+# package importing it does not count.
+deadpkg:
+	@graph=$$($(GO) list -f '{{$$p := .ImportPath}}{{if ne .Name "main"}}def {{$$p}}{{"\n"}}{{end}}{{range .Imports}}use {{.}}{{"\n"}}{{end}}{{range .TestImports}}use {{.}}{{"\n"}}{{end}}{{range .XTestImports}}{{if ne . $$p}}use {{.}}{{"\n"}}{{end}}{{end}}' ./...) || exit 1; \
+	dead=$$(echo "$$graph" | awk '$$1 == "def" { d[$$2] = 1 } $$1 == "use" { u[$$2] = 1 } END { for (p in d) if (!(p in u)) print p }' | sort); \
+	if [ -n "$$dead" ]; then \
+		echo "packages no other package imports:"; echo "$$dead"; exit 1; fi
 
 # The explicit -timeout keeps a hung cancellation path from stalling CI
 # for the 10-minute default. The executor and artifact store are named
@@ -75,9 +85,10 @@ recoversmoke:
 # Two-process fleet drill: build htserved, start two peered daemons,
 # and require the fleet contracts over real process boundaries — one
 # Idempotency-Key submitted to both nodes lands on one job at the ring
-# owner, a forced-local rerun on the cold node hits the remote artifact
-# tier, and both drain cleanly on SIGTERM. Always -count=1 so the
-# cross-process paths are actually executed.
+# owner, a forced-local rerun on the cold node recomputes every stage
+# and emits benchmarks byte-identical to the owner's, and both drain
+# cleanly on SIGTERM. Always -count=1 so the cross-process paths are
+# actually executed.
 fleetsmoke:
 	$(GO) test -run '^TestFleetSmoke$$' -count=1 -timeout 5m ./cmd/htserved
 

@@ -23,7 +23,7 @@
 // round-robins submissions over them: non-owner nodes forward by the
 // consistent-hash ring, forwarded jobs are awaited at the node the
 // X-Cghti-Owner response header names, and the recorded leg gains
-// forwarded_jobs / remote_artifact_hits / forward_fallbacks metrics.
+// forwarded_jobs / forward_fallbacks metrics.
 // Pair it with -mixed — the ring shards by netlist fingerprint, so a
 // single-circuit fleet run funnels every job to one owner.
 //
@@ -84,7 +84,7 @@ type loadConfig struct {
 	// Fleet self-hosts this many peered nodes instead of one (ignored
 	// with -addr): submissions round-robin over the fleet, non-owner
 	// nodes forward by the consistent-hash ring, and the run records
-	// forwarded-job and remote-artifact-tier activity. Pairs naturally
+	// forwarded-job and forward-fallback counts. Pairs naturally
 	// with -mixed — the ring shards by netlist fingerprint, so a
 	// single-circuit fleet run funnels every job to one owner.
 	Fleet int
@@ -268,13 +268,12 @@ func run(cfg loadConfig) (*result, error) {
 		if vectors > 0 {
 			metrics["patterns_per_s_per_core"] = vectors / elapsed.Seconds() / float64(runtime.NumCPU())
 		}
-		// Fleet activity: how many submissions crossed nodes, how often
-		// the sharded artifact tier paid off, and whether any forwards
-		// degraded to local execution. In-process fleet nodes share the
-		// default metrics registry, so node 0's snapshot covers them all.
+		// Fleet activity: how many submissions crossed nodes, and
+		// whether any forwards degraded to local execution. In-process
+		// fleet nodes share the default metrics registry, so node 0's
+		// snapshot covers them all.
 		if cfg.Addr == "" && cfg.Fleet > 1 {
 			metrics["forwarded_jobs"] = snap1["serve_forwarded_jobs"] - snap0["serve_forwarded_jobs"]
-			metrics["remote_artifact_hits"] = snap1["artifact_remote_hits"] - snap0["artifact_remote_hits"]
 			metrics["forward_fallbacks"] = snap1["serve_forward_fallbacks"] - snap0["serve_forward_fallbacks"]
 		}
 	}
@@ -284,7 +283,7 @@ func run(cfg loadConfig) (*result, error) {
 
 // counterSnapshot reads the sample values of the daemon's Prometheus
 // /metrics page, keyed by exposition name (the registry's dotted names
-// with '_', e.g. artifact_remote_hits); nil when the page is
+// with '_', e.g. serve_forwarded_jobs); nil when the page is
 // unreachable.
 func counterSnapshot(ctx context.Context, client *http.Client, base string) map[string]float64 {
 	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)

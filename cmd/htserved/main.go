@@ -16,15 +16,13 @@
 //	GET  /healthz              200 + queue/worker occupancy, 503 while draining
 //	GET  /metrics              Prometheus text exposition (counters, gauges,
 //	                           latency histograms)
-//	GET  /v1/artifacts/{fp}    serve one cache entry to a fleet peer (framed)
-//	PUT  /v1/artifacts/{fp}    accept one framed cache entry (verified first)
 //
 // With -peers the daemon joins a fleet: submissions are consistent-hash
-// sharded by netlist fingerprint (a non-owner node proxies the request,
-// preserving Idempotency-Key, so identical submissions dedupe fleet-wide
-// against the owner's journal; an unreachable owner degrades to local
-// execution), and the artifact cache gains a remote tier that fetches
-// entries peers already computed — hash-verified before use.
+// sharded by netlist fingerprint, so a job runs on the node whose cache
+// holds its artifacts. A non-owner node proxies the request, preserving
+// Idempotency-Key, so identical submissions dedupe fleet-wide against
+// the owner's journal; an unreachable owner degrades to local
+// execution. Artifacts never travel between nodes.
 //
 // A full queue rejects submits with 429 and a Retry-After header derived
 // from the observed queue-wait p50 (clamped to [1, 30] seconds). On
@@ -75,7 +73,7 @@ func main() {
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "how long in-flight jobs may keep running after SIGTERM before being canceled")
 		journalDir  = flag.String("journal-dir", "", "persist the job journal here and recover it on boot (no durability if empty)")
 		maxAttempts = flag.Int("max-attempts", serve.DefaultMaxAttempts, "poison a job after this many crash-interrupted attempts")
-		peers       = flag.String("peers", "", "comma-separated peer node addresses (host:port); enables fleet mode: job sharding + remote artifact tier")
+		peers       = flag.String("peers", "", "comma-separated peer node addresses (host:port); enables fleet mode: jobs are sharded to the node that holds their artifacts")
 		advertise   = flag.String("advertise", "", "this node's own address as peers reach it (places the node on the ring; defaults to -addr)")
 	)
 	flag.Parse()

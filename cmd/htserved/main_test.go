@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -133,9 +131,9 @@ func TestSmoke(t *testing.T) {
 // build the real binary, start TWO peered daemons, and require the
 // fleet contracts to hold over real process boundaries — the same
 // Idempotency-Key submitted to both nodes lands on one job at the ring
-// owner, a forced-local rerun on the cold node pulls its artifacts
-// from the warm peer (remote-tier hit in the cold node's own metrics),
-// and both processes drain cleanly on SIGTERM.
+// owner, a forced-local rerun on the cold node recomputes every stage
+// and emits benchmarks byte-identical to the owner's, and both
+// processes drain cleanly on SIGTERM.
 func TestFleetSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet smoke test builds and runs the real binary twice")
@@ -254,15 +252,15 @@ func TestFleetSmoke(t *testing.T) {
 		t.Fatalf("deduped job status = %q, want done", status)
 	}
 
-	// Remote artifact tier across processes: force the SAME work to run
-	// locally on the node that did not execute it (X-Cghti-Forwarded
-	// suppresses forwarding). Its cache is cold, so its stage lookups
-	// must hit the warm peer — visible in its own process's metrics.
+	// Cross-process byte identity: force the SAME work to run locally on
+	// the node that did not execute it (X-Cghti-Forwarded suppresses
+	// forwarding). Artifacts never travel between nodes, so the cold
+	// node recomputes every stage, and its benchmarks must equal the
+	// owner's byte for byte.
 	cold := addrs[1]
 	if owner == addrs[1] {
 		cold = addrs[0]
 	}
-	hitsBefore := counterValue(t, "http://"+cold, "artifact_remote_hits")
 	resp3, id3 := submit("http://"+cold, map[string]string{"X-Cghti-Forwarded": "1"})
 	if resp3.StatusCode != http.StatusAccepted {
 		t.Fatalf("forced-local submit status = %d, want 202", resp3.StatusCode)
@@ -270,9 +268,18 @@ func TestFleetSmoke(t *testing.T) {
 	if status := pollSmokeJob(t, "http://"+cold, id3); status != "done" {
 		t.Fatalf("forced-local job status = %q, want done", status)
 	}
-	hitsAfter := counterValue(t, "http://"+cold, "artifact_remote_hits")
-	if hitsAfter <= hitsBefore {
-		t.Fatalf("cold node artifact.remote_hits = %v before, %v after — expected remote-tier hits from the warm peer", hitsBefore, hitsAfter)
+	warmRes := jobResult(t, "http://"+owner, id1)
+	coldRes := jobResult(t, "http://"+cold, id3)
+	if len(coldRes.CachedStages) != 0 {
+		t.Fatalf("cold node reused stages %v, want a full recompute", coldRes.CachedStages)
+	}
+	if len(warmRes.Benchmarks) == 0 || len(coldRes.Benchmarks) != len(warmRes.Benchmarks) {
+		t.Fatalf("owner emitted %d benchmarks, cold node %d", len(warmRes.Benchmarks), len(coldRes.Benchmarks))
+	}
+	for i, b := range coldRes.Benchmarks {
+		if b.Bench != warmRes.Benchmarks[i].Bench {
+			t.Fatalf("benchmark %d differs between the owner and the cold node", i)
+		}
 	}
 
 	// Both daemons must drain cleanly.
@@ -293,30 +300,30 @@ func TestFleetSmoke(t *testing.T) {
 	}
 }
 
-// counterValue reads one counter from a daemon's Prometheus /metrics
-// page, by exposition name (the registry's dotted name with '_'); 0
-// when the counter is absent.
-func counterValue(t *testing.T, base, name string) float64 {
+// smokeResult is the part of a generate job's result the fleet smoke
+// compares across processes.
+type smokeResult struct {
+	CachedStages []string `json:"cached_stages"`
+	Benchmarks   []struct {
+		Bench string `json:"bench"`
+	} `json:"benchmarks"`
+}
+
+// jobResult fetches a finished generate job's result from one daemon.
+func jobResult(t *testing.T, base, id string) smokeResult {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if val, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			return v
-		}
+	var view struct {
+		Result smokeResult `json:"result"`
 	}
-	if err := sc.Err(); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)
 	}
-	return 0
+	return view.Result
 }
 
 func waitHealthy(t *testing.T, base string) {

@@ -17,7 +17,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 
 	"cghti/internal/bench"
 	"cghti/internal/netlist"
@@ -33,22 +32,6 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // IsZero reports whether f is the zero fingerprint, which carries no
 // identity: the cache refuses to store under it.
 func (f Fingerprint) IsZero() bool { return f == Fingerprint{} }
-
-// ParseFingerprint decodes the lowercase-hex form produced by String —
-// the shape fingerprints take in entry file names and peer-protocol
-// URLs. Anything that is not exactly 64 hex digits is rejected.
-func ParseFingerprint(s string) (Fingerprint, error) {
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return Fingerprint{}, fmt.Errorf("artifact: bad fingerprint %q: %w", s, err)
-	}
-	if len(raw) != len(Fingerprint{}) {
-		return Fingerprint{}, fmt.Errorf("artifact: bad fingerprint %q: got %d bytes, want %d", s, len(raw), len(Fingerprint{}))
-	}
-	var f Fingerprint
-	copy(f[:], raw)
-	return f, nil
-}
 
 // Hash fingerprints raw bytes directly — used to key standalone helpers
 // on the content of an already-encoded artifact.

@@ -31,11 +31,7 @@ type meters struct {
 	diskTorn      *obs.Counter
 	ioRetries     *obs.Counter
 	diskEvictions *obs.Counter
-	remoteHits    *obs.Counter
-	remoteMisses  *obs.Counter
-	remoteRejects *obs.Counter
 	getTime       *obs.Histogram
-	remoteGetTime *obs.Histogram
 }
 
 func metersFor(r *obs.Registry) *meters {
@@ -58,11 +54,7 @@ func newMeters(r *obs.Registry) *meters {
 		diskTorn:      r.Counter("artifact.disk_torn"),
 		ioRetries:     r.Counter("artifact.io_retries"),
 		diskEvictions: r.Counter("artifact.disk_evictions"),
-		remoteHits:    r.Counter("artifact.remote_hits"),
-		remoteMisses:  r.Counter("artifact.remote_misses"),
-		remoteRejects: r.Counter("artifact.remote_rejects"),
 		getTime:       r.Histogram("artifact.get_time"),
-		remoteGetTime: r.Histogram("artifact.remote_get_time"),
 	}
 }
 
@@ -84,16 +76,14 @@ const (
 	DefaultDiskMaxBytes   = 1 << 30
 )
 
-// Cache is a three-tier content-addressed artifact store. The memory
+// Cache is a two-tier content-addressed artifact store. The memory
 // tier is a bounded LRU (entry count and total payload bytes); the
 // optional disk tier (AttachDir) persists entries across processes and
 // is itself bounded (entry count and total file bytes) with
-// oldest-written-first eviction; the optional remote tier (SetRemote)
-// fetches entries other fleet nodes already computed over the peer
-// protocol. Disk entries and peer responses carry a payload hash that
-// is verified on every read: a corrupted, tampered, or torn entry is
-// dropped and reported as a miss, never trusted. All methods are safe
-// for concurrent use.
+// oldest-written-first eviction. Disk entries carry a payload hash
+// that is verified on every read: a corrupted, tampered, or torn entry
+// is dropped and reported as a miss, never trusted. All methods are
+// safe for concurrent use.
 type Cache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -109,8 +99,6 @@ type Cache struct {
 	diskBytes      int64
 	diskOrder      *list.List // front = newest write, back = oldest
 	diskIndex      map[Fingerprint]*list.Element
-
-	remote *Remote // peer-fetch tier, consulted after a disk miss
 }
 
 type cacheEntry struct {
@@ -351,44 +339,24 @@ func (c *Cache) DiskBytes() int64 {
 	return c.diskBytes
 }
 
-// SetRemote attaches (or, with nil, detaches) the peer-fetch tier:
-// after a memory and disk miss, the cache asks the configured peers for
-// the entry over the artifact peer protocol. Fetched entries are
-// hash-verified before use and installed in the local tiers (including
-// the disk tier, when attached), so one remote fetch warms this node
-// for every later lookup.
-func (c *Cache) SetRemote(r *Remote) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.remote = r
-}
-
 // Get returns the payload stored under fp, consulting the memory tier
 // first, then the disk tier (promoting a verified disk entry into
-// memory), then the remote tier. Metrics go to the process default
-// registry; use GetCtx inside a per-run scope.
+// memory). Metrics go to the process default registry; use GetCtx
+// inside a per-run scope.
 func (c *Cache) Get(fp Fingerprint) ([]byte, bool) {
-	return c.get(fp, defaultMeters, false)
+	return c.get(fp, defaultMeters)
 }
 
 // GetCtx is Get attributing its hit/miss metrics to the registry
 // carried by ctx (per-run scoping). The lookup itself is identical.
 func (c *Cache) GetCtx(ctx context.Context, fp Fingerprint) ([]byte, bool) {
-	return c.get(fp, metersCtx(ctx), false)
-}
-
-// GetLocal is Get restricted to the memory and disk tiers — the lookup
-// the artifact peer endpoint serves, so one node's miss can never
-// recurse into another peer fetch and ripple a miss around the fleet.
-func (c *Cache) GetLocal(fp Fingerprint) ([]byte, bool) {
-	return c.get(fp, defaultMeters, true)
+	return c.get(fp, metersCtx(ctx))
 }
 
 // get resolves fp across the tiers, timing the whole lookup (memory
-// hit, disk or remote fallback, or miss) into the artifact.get_time
-// histogram so disk-tier and peer stalls are visible as a latency mode,
-// not just a counter.
-func (c *Cache) get(fp Fingerprint, met *meters, localOnly bool) ([]byte, bool) {
+// hit, disk fallback, or miss) into the artifact.get_time histogram so
+// disk-tier stalls are visible as a latency mode, not just a counter.
+func (c *Cache) get(fp Fingerprint, met *meters) ([]byte, bool) {
 	start := time.Now()
 	defer func() { met.getTime.Observe(time.Since(start)) }()
 	c.mu.Lock()
@@ -399,7 +367,7 @@ func (c *Cache) get(fp Fingerprint, met *meters, localOnly bool) ([]byte, bool) 
 		met.hits.Inc()
 		return data, true
 	}
-	fsys, dir, remote := c.fs, c.dir, c.remote
+	fsys, dir := c.fs, c.dir
 	c.mu.Unlock()
 	if dir != "" {
 		data, ok, corrupt, torn := readEntry(fsys, filepath.Join(dir, fp.String()), met)
@@ -414,21 +382,6 @@ func (c *Cache) get(fp Fingerprint, met *meters, localOnly bool) ([]byte, bool) 
 			c.install(fp, data, met)
 			met.hits.Inc()
 			met.diskHits.Inc()
-			return data, true
-		}
-	}
-	if remote != nil && !localOnly {
-		if data, ok := remote.fetch(fp, met); ok {
-			// Write through to the local tiers: the fetch cost is paid
-			// once, then this node serves the entry itself (including to
-			// other peers).
-			c.install(fp, data, met)
-			if dir != "" {
-				if size, wok := writeEntry(fsys, dir, fp.String(), data, met); wok {
-					c.noteDiskWrite(fp, size, met)
-				}
-			}
-			met.hits.Inc()
 			return data, true
 		}
 	}
@@ -504,7 +457,7 @@ var diskRetry = iofault.RetryPolicy{Attempts: 3, Base: 2 * time.Millisecond, Jit
 // disk tier is an optimization, and a missing entry just means
 // recomputation.
 func writeEntry(fsys iofault.FS, dir, name string, data []byte, met *meters) (int64, bool) {
-	buf := EncodeEntry(data)
+	buf := encodeEntry(data)
 	path := filepath.Join(dir, name)
 	tmp := path + ".tmp"
 	retries, err := diskRetry.Do(func() error {
@@ -555,7 +508,7 @@ func syncDir(fsys iofault.FS, dir string) {
 
 // readEntry loads and verifies one on-disk entry. A missing file is a
 // plain miss; transient read errors get bounded retries. A failed
-// verification is classified by DecodeEntry: torn (truncated relative
+// verification is classified by decodeEntry: torn (truncated relative
 // to the declared length — a crashed write) or corrupt (full length,
 // wrong bytes) — either way the file is deleted (best effort) and
 // reported so the caller can count it and drop its index entry.
@@ -570,10 +523,10 @@ func readEntry(fsys iofault.FS, path string, met *meters) (data []byte, ok, corr
 	if err != nil {
 		return nil, false, false, false
 	}
-	payload, derr := DecodeEntry(raw)
+	payload, derr := decodeEntry(raw)
 	if derr != nil {
 		fsys.Remove(path)
-		return nil, false, errors.Is(derr, ErrEntryCorrupt), errors.Is(derr, ErrEntryTorn)
+		return nil, false, errors.Is(derr, errEntryCorrupt), errors.Is(derr, errEntryTorn)
 	}
 	return payload, true, false, false
 }

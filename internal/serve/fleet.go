@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"time"
 
 	"cghti/internal/artifact"
 )
+
+// forwardTimeout bounds one proxied submission to the owning fleet
+// node; past it the submit falls back to local execution.
+const forwardTimeout = 10 * time.Second
 
 // Fleet protocol headers.
 const (
@@ -27,7 +32,8 @@ const (
 // preserving Idempotency-Key, so identical submissions entering
 // anywhere in the fleet dedupe against the owner's journal — and the
 // owner's response is relayed verbatim (plus OwnerHeader). Returns true
-// when the response has been written.
+// when the submission is finished here: the response has been written,
+// or the client is gone.
 //
 // Degrade, never reject: a forward that fails at the transport level
 // (owner down, timeout) falls back to local execution — the job runs
@@ -35,7 +41,9 @@ const (
 // owner, whatever its status, is relayed rather than second-guessed:
 // the owner answered authoritatively (its 429 means the *owner* is
 // backpressured; retrying locally would silently split the dedup
-// domain).
+// domain). A forward that failed because the client hung up is not a
+// transport failure: nobody is waiting for a local job, and the owner
+// may already hold one, so the submission ends there.
 func (s *Server) forwardIfRemote(w http.ResponseWriter, r *http.Request, fp artifact.Fingerprint, payload []byte) bool {
 	if s.ring == nil || r.Header.Get(forwardedHeader) != "" {
 		return false
@@ -57,6 +65,9 @@ func (s *Server) forwardIfRemote(w http.ResponseWriter, r *http.Request, fp arti
 	}
 	resp, err := s.forward.Do(req)
 	if err != nil {
+		if r.Context().Err() != nil {
+			return true
+		}
 		cntFallbacks.Inc()
 		return false
 	}
@@ -72,47 +83,4 @@ func (s *Server) forwardIfRemote(w http.ResponseWriter, r *http.Request, fp arti
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 	return true
-}
-
-// handleArtifactGet serves one cache entry to a peer in the framed
-// (CGA2) wire form — the same bytes the disk tier stores, verified by
-// the same rules on the fetching side. The lookup is local-tiers-only:
-// answering a peer's miss must never trigger this node's own remote
-// fetch, or one cold fingerprint would ricochet around the fleet.
-func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
-	fp, err := artifact.ParseFingerprint(r.PathValue("fp"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	data, ok := s.cfg.Cache.GetLocal(fp)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no artifact " + fp.String()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(artifact.EncodeEntry(data))
-}
-
-// handleArtifactPut accepts one framed entry pushed by a peer (or a
-// warm-up tool), verifying it before storing — the remote tier's
-// verify-before-trust rule holds in both directions.
-func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
-	fp, err := artifact.ParseFingerprint(r.PathValue("fp"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, artifact.MaxEntryWireBytes))
-	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: "artifact body: " + err.Error()})
-		return
-	}
-	payload, err := artifact.DecodeEntry(raw)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	s.cfg.Cache.Put(fp, payload)
-	w.WriteHeader(http.StatusNoContent)
 }

@@ -5,11 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -298,8 +299,7 @@ func TestFleetForwardFallback(t *testing.T) {
 
 	s := New(Config{
 		Workers: 2, QueueDepth: 8,
-		Peers:          []string{deadAddr},
-		ForwardTimeout: 500 * time.Millisecond,
+		Peers: []string{deadAddr},
 	})
 	s.Start()
 	defer s.Drain(context.Background())
@@ -328,137 +328,120 @@ func TestFleetForwardFallback(t *testing.T) {
 	}
 }
 
-// TestFleetRemoteArtifactHit pins the tentpole's caching claim: a cold
-// node running a job a warm peer already computed pulls the peer's
-// artifacts over the remote tier instead of recomputing. Both
-// submissions carry the forwarded marker so each node executes locally
-// and only the artifact tier crosses the network.
-func TestFleetRemoteArtifactHit(t *testing.T) {
-	nodes := startFleet(t, 2)
-	forced := map[string]string{forwardedHeader: "1"}
+// TestFleetClientHangupNoLocalJob pins the forward path's handling of
+// a client that disconnects mid-forward: the proxied request dies with
+// the client's context, which is not an owner failure, so the entry
+// node must neither run the job locally nor count a fallback — the
+// owner may already hold the job, and nobody is waiting for a second
+// copy.
+func TestFleetClientHangupNoLocalJob(t *testing.T) {
+	release := make(chan struct{})
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select { // an owner that never answers
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer owner.Close()
+	defer close(release)
 
-	req := genRequest(23)
+	// No Advertise: the node owns nothing and forwards every submission.
+	s := New(Config{Workers: 1, QueueDepth: 8, Peers: []string{owner.Listener.Addr().String()}})
+	defer s.Drain(context.Background())
+	h := s.Handler()
+	handled := make(chan struct{})
+	var once sync.Once
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.Method == http.MethodPost {
+			once.Do(func() { close(handled) })
+		}
+	}))
+	defer ts.Close()
+
+	fallbacksBefore := cntFallbacks.Value()
+	req := genRequest(13)
 	req.Bench = benchText(t, "c17")
-
-	// Warm node 0.
-	resp := postJSONTo(t, nodes[0].url, "/v1/generate", req, forced)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("warm submit status = %d, want 202", resp.StatusCode)
+	buf, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sub := decodeBody[submitResponse](t, resp)
-	if view := pollJobAt(t, nodes[0].url, sub.ID); view.Status != StatusDone {
-		t.Fatalf("warm job status = %s (err %q), want done", view.Status, view.Error)
+	client := &http.Client{Timeout: 200 * time.Millisecond}
+	if resp, err := client.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(buf)); err == nil {
+		resp.Body.Close()
+		t.Fatalf("submit answered %d, want the client to time out", resp.StatusCode)
 	}
-
-	hitsBefore := obs.NewCounter("artifact.remote_hits").Value()
-
-	// Cold node 1, identical request: its local tiers miss, the remote
-	// tier must serve node 0's artifacts.
-	resp = postJSONTo(t, nodes[1].url, "/v1/generate", req, forced)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("cold submit status = %d, want 202", resp.StatusCode)
-	}
-	sub = decodeBody[submitResponse](t, resp)
-	view := pollJobAt(t, nodes[1].url, sub.ID)
-	if view.Status != StatusDone {
-		t.Fatalf("cold job status = %s (err %q), want done", view.Status, view.Error)
+	select {
+	case <-handled:
+	case <-time.After(30 * time.Second):
+		t.Fatal("submit handler never returned after the client hung up")
 	}
 
-	if got := obs.NewCounter("artifact.remote_hits").Value() - hitsBefore; got == 0 {
-		t.Fatal("cold node completed without a single remote artifact hit")
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The job itself should report reused upstream stages.
-	result, ok := view.Result.(map[string]any)
-	if !ok {
-		t.Fatalf("result has unexpected shape %T", view.Result)
+	list := decodeBody[struct {
+		Total int `json:"total"`
+	}](t, resp)
+	if list.Total != 0 {
+		t.Fatalf("entry node holds %d jobs after the client hung up, want 0", list.Total)
 	}
-	cached, _ := result["cached_stages"].([]any)
-	if len(cached) == 0 {
-		t.Fatalf("cold job reports no cached stages: %v", result)
+	if got := cntFallbacks.Value() - fallbacksBefore; got != 0 {
+		t.Fatalf("forward_fallbacks delta = %d, want 0 (a client hang-up is not an owner failure)", got)
 	}
 }
 
-// TestArtifactPeerEndpoints pins the wire protocol: GET serves framed
-// entries (and 404s cleanly), PUT verifies before storing, and both
-// reject garbage fingerprints.
-func TestArtifactPeerEndpoints(t *testing.T) {
-	s := New(Config{})
+// TestLocalExecutionNeverDialsPeer pins that artifacts never travel
+// between nodes: a job executing locally resolves every stage from its
+// own tiers or recomputes it, so a peer that accepts connections and
+// never answers costs it nothing. The count of accepted connections is
+// the assertion, not wall time.
+func TestLocalExecutionNeverDialsPeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted atomic.Int64
+	var conns []net.Conn
+	acceptDone := make(chan struct{})
+	go func() {
+		defer close(acceptDone)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			conns = append(conns, c) // held open, never answered
+		}
+	}()
+	defer func() {
+		ln.Close()
+		<-acceptDone
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+
+	s := New(Config{Workers: 1, QueueDepth: 8, Peers: []string{ln.Addr().String()}})
+	s.Start()
+	defer s.Drain(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	fp := artifact.Hash([]byte("endpoint-entry"))
-	payload := []byte("the-artifact-bytes")
-
-	// Miss before the entry exists.
-	resp, err := http.Get(ts.URL + "/v1/artifacts/" + fp.String())
-	if err != nil {
-		t.Fatal(err)
+	req := genRequest(17)
+	req.Bench = benchText(t, "c17")
+	resp := postJSONTo(t, ts.URL, "/v1/generate", req, map[string]string{forwardedHeader: "1"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("forced-local submit status = %d, want 202", resp.StatusCode)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET before PUT = %d, want 404", resp.StatusCode)
+	sub := decodeBody[submitResponse](t, resp)
+	if view := pollJobAt(t, ts.URL, sub.ID); view.Status != StatusDone {
+		t.Fatalf("forced-local job status = %s (err %q), want done", view.Status, view.Error)
 	}
-
-	// Bad fingerprint shapes.
-	for _, bad := range []string{"zz", "0123"} {
-		resp, err := http.Get(ts.URL + "/v1/artifacts/" + bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET bad fp %q = %d, want 400", bad, resp.StatusCode)
-		}
-	}
-
-	put := func(body []byte) int {
-		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/artifacts/"+fp.String(), bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	// Unverifiable bodies are rejected, never stored.
-	if code := put([]byte("not-a-framed-entry")); code != http.StatusBadRequest {
-		t.Fatalf("PUT garbage = %d, want 400", code)
-	}
-	framed := artifact.EncodeEntry(payload)
-	if code := put(framed[:len(framed)-3]); code != http.StatusBadRequest {
-		t.Fatalf("PUT torn entry = %d, want 400", code)
-	}
-	if _, ok := s.cfg.Cache.GetLocal(fp); ok {
-		t.Fatal("rejected PUT bodies reached the cache")
-	}
-
-	// A verified PUT stores; GET round-trips the framed form.
-	if code := put(framed); code != http.StatusNoContent {
-		t.Fatalf("PUT framed entry = %d, want 204", code)
-	}
-	resp, err = http.Get(ts.URL + "/v1/artifacts/" + fp.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET after PUT = %d, want 200", resp.StatusCode)
-	}
-	got, err := artifact.DecodeEntry(raw)
-	if err != nil {
-		t.Fatalf("GET body does not verify: %v", err)
-	}
-	if string(got) != string(payload) {
-		t.Fatalf("round-tripped payload = %q, want %q", got, payload)
+	if got := accepted.Load(); got != 0 {
+		t.Fatalf("the peer accepted %d connections during a local job, want 0", got)
 	}
 }
 

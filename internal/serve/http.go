@@ -22,8 +22,6 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	mux.HandleFunc("GET /v1/artifacts/{fp}", s.handleArtifactGet)
-	mux.HandleFunc("PUT /v1/artifacts/{fp}", s.handleArtifactPut)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetricsProm)
 	return timed(mux)

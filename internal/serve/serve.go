@@ -69,9 +69,6 @@ const (
 	DefaultMaxAttempts  = 3
 	DefaultRetryBase    = 500 * time.Millisecond
 	DefaultCompactEvery = 1024
-	// DefaultForwardTimeout bounds one proxied submission to the owning
-	// fleet node; past it the submit falls back to local execution.
-	DefaultForwardTimeout = 10 * time.Second
 	// maxRetryBackoff caps the recovery backoff however many attempts
 	// a job has accumulated.
 	maxRetryBackoff = 30 * time.Second
@@ -116,18 +113,15 @@ type Config struct {
 	CompactEvery int
 	// Peers lists the other fleet nodes' HTTP addresses (host:port or
 	// http:// URLs). Non-empty enables fleet mode: submissions are
-	// consistent-hash sharded across the ring (this node plus Peers),
-	// and the artifact cache gains a remote tier that fetches entries
-	// the peers already computed.
+	// consistent-hash sharded across the ring (this node plus Peers), so
+	// a job runs on the node whose cache holds its artifacts. Artifacts
+	// never travel between nodes.
 	Peers []string
 	// Advertise is this node's own address as the Peers reach it; it
 	// places the node on the ring. Empty with Peers set is legal: the
 	// node owns no shard and forwards every submission (falling back to
 	// local execution when the owner is unreachable).
 	Advertise string
-	// ForwardTimeout bounds one proxied submission
-	// (DefaultForwardTimeout if 0).
-	ForwardTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -157,9 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CompactEvery <= 0 {
 		c.CompactEvery = DefaultCompactEvery
-	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = DefaultForwardTimeout
 	}
 	return c
 }
@@ -283,10 +274,7 @@ func New(cfg Config) *Server {
 	}
 	if len(cfg.Peers) > 0 {
 		s.ring = newRing(cfg.Advertise, cfg.Peers)
-		s.forward = &http.Client{Timeout: cfg.ForwardTimeout}
-		// The shared cache learns to ask the same peers for artifacts
-		// they already computed — the fleet's third cache tier.
-		cfg.Cache.SetRemote(artifact.NewRemote(cfg.Peers, artifact.RemoteOptions{}))
+		s.forward = &http.Client{Timeout: forwardTimeout}
 	}
 	return s
 }
