@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt test race fuzz modcheck deadpkg smoke scalesmoke recoversmoke fleetsmoke benchall
+.PHONY: ci build vet fmt test race fuzz modcheck deadpkg smoke scalesmoke recoversmoke fleetsmoke perfbenchtest benchall
 
-ci: build vet fmt modcheck deadpkg race fuzz smoke scalesmoke recoversmoke fleetsmoke
+ci: build vet fmt modcheck deadpkg race fuzz smoke scalesmoke recoversmoke fleetsmoke perfbenchtest
 
 build:
 	$(GO) build ./...
@@ -91,6 +91,15 @@ recoversmoke:
 # actually executed.
 fleetsmoke:
 	$(GO) test -run '^TestFleetSmoke$$' -count=1 -timeout 5m ./cmd/htserved
+
+# The repository benchmark is its own module (replace cghti => ../), so
+# the root build never compiles it: vet it and run its toy-scale
+# self-test, which drives every workload for two ops and checks the
+# result line against BENCHMARK.json. A change to any exported name it
+# uses then fails here, not only in a benchmark run. Always -count=1 so
+# the workloads actually run.
+perfbenchtest:
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 
 # Every Go benchmark, for profiling (add -cpuprofile/-memprofile per
 # package). The repository's end-to-end benchmark is perfbench (see

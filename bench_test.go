@@ -129,6 +129,36 @@ func BenchmarkCompatGraphBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkPaperCubeGen is Algorithm 2's cube layer where its searches
+// run deep: serial BuildCubes with paper8's rare settings (|V| 10 000,
+// θ 0.2, seed 1) and the default PODEM budget, on the two circuits
+// whose aborted searches dominate the layer. Implications/op reads a
+// scoped registry, so it counts this benchmark's PODEM work only.
+func BenchmarkPaperCubeGen(b *testing.B) {
+	for _, name := range []string{"c3540", "c6288"} {
+		b.Run(name, func(b *testing.B) {
+			n, err := gen.Benchmark(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rs, err := rare.Extract(n, rare.Config{Vectors: 10000, Threshold: 0.2, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			ctx := obs.WithRegistry(context.Background(), reg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := compat.BuildCubes(ctx, n, rs, compat.BuildConfig{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
+			b.ReportMetric(float64(reg.Counter("atpg.podem_implications").Value())/float64(b.N), "implications/op")
+		})
+	}
+}
+
 func BenchmarkCliqueMining(b *testing.B) {
 	n := benchCircuit(b)
 	rs := benchRare(b, n)

@@ -21,16 +21,21 @@ import (
 // recorded while these callers still submitted their blocks through a
 // simulation service; direct pooled engines must reproduce them. MERO
 // targets single rare nodes, so its set misses every multi-node trigger
-// here, as the paper reports; its rows pin that all-miss outcome.
+// here, as the paper reports; its rows pin that all-miss outcome. The
+// ndatpg_vectors rows pin ND-ATPG's vectors in order, at the default
+// PODEM budget: it is the only caller of atpg.Engine.Detect outside
+// tests.
 var goldenDetectDigests = map[string]string{
-	"c2670/mero_vectors": "7edb09845f11e13e5c7671595996d0851512b0dbc4e77bcb0d93a4a39f50d528",
-	"c2670/random":       "fa2abfde780f6668378594bb26a8cf2b348f850018fcc0d41dc3b722b9aca706",
-	"c2670/mero":         "d470b70e1f818f33c0bd540140f0d46e8547c569bc11ad00a9d155584d333591",
-	"c2670/faultsim":     "31d8e53bedae8c93ced2661108943b89df5b09eb6b60faa0d4eafae9b24b8bd2",
-	"s1423/mero_vectors": "b5914bcf9d7be7578ec6d37401c59c98000ec7eb440ec9ed409db6616f32f777",
-	"s1423/random":       "e1dd4ce16e4f9e8b5d553ff44a60e67173e5bdc79051a3791d3bdf0629bcaeb6",
-	"s1423/mero":         "d470b70e1f818f33c0bd540140f0d46e8547c569bc11ad00a9d155584d333591",
-	"s1423/faultsim":     "6ede7ca8d72a43eedb334cde0f8d439e41b5bf8a06a242d9f8dd5e28f4a0e6b6",
+	"c2670/ndatpg_vectors": "a12d933f50a896b41deddc4bb5cca02a712adf83eecf77412784eab25d20ad15",
+	"s1423/ndatpg_vectors": "d5e914cced9305de168f7bc55fb96e11c8f552b3c077f61b44178003fb95c041",
+	"c2670/mero_vectors":   "7edb09845f11e13e5c7671595996d0851512b0dbc4e77bcb0d93a4a39f50d528",
+	"c2670/random":         "fa2abfde780f6668378594bb26a8cf2b348f850018fcc0d41dc3b722b9aca706",
+	"c2670/mero":           "d470b70e1f818f33c0bd540140f0d46e8547c569bc11ad00a9d155584d333591",
+	"c2670/faultsim":       "31d8e53bedae8c93ced2661108943b89df5b09eb6b60faa0d4eafae9b24b8bd2",
+	"s1423/mero_vectors":   "b5914bcf9d7be7578ec6d37401c59c98000ec7eb440ec9ed409db6616f32f777",
+	"s1423/random":         "e1dd4ce16e4f9e8b5d553ff44a60e67173e5bdc79051a3791d3bdf0629bcaeb6",
+	"s1423/mero":           "d470b70e1f818f33c0bd540140f0d46e8547c569bc11ad00a9d155584d333591",
+	"s1423/faultsim":       "6ede7ca8d72a43eedb334cde0f8d439e41b5bf8a06a242d9f8dd5e28f4a0e6b6",
 }
 
 // hashVector feeds one test vector into h as a 0/1 string.
@@ -102,6 +107,17 @@ func TestDetectDigests(t *testing.T) {
 					hashVector(hv, v)
 				}
 				checkDetectDigest(t, name+"/mero_vectors", workers, hv)
+
+				nd, err := detect.NDATPGContext(ctx, golden, res.RareSet,
+					detect.NDATPGConfig{N: 2, Seed: 5, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				hn := sha256.New()
+				for _, v := range nd.Vectors {
+					hashVector(hn, v)
+				}
+				checkDetectDigest(t, name+"/ndatpg_vectors", workers, hn)
 
 				hr, hm := sha256.New(), sha256.New()
 				cfg := detect.EvalConfig{Workers: workers}

@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 
 	"cghti/internal/bench"
+	"cghti/internal/gen"
 	"cghti/internal/netlist"
+	"cghti/internal/obs"
 	"cghti/internal/sim"
 )
 
@@ -481,4 +483,136 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(b[p:])
+}
+
+// TestAbortImplicationsCounter: atpg.podem_abort_implications adds the
+// implications of the runs that abort and nothing else.
+func TestAbortImplicationsCounter(t *testing.T) {
+	n, err := gen.Benchmark("c3540")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	e.SetRegistry(reg)
+	e.MaxBacktracks = 20
+	var aborts, abortImplies int64
+	results := map[Result]int{}
+	for id := range n.Gates {
+		for v := uint8(0); v < 2; v++ {
+			before := e.Stats.Implies
+			_, res := e.Justify(netlist.GateID(id), v)
+			results[res]++
+			if res == Abort {
+				aborts++
+				abortImplies += e.Stats.Implies - before
+			}
+		}
+	}
+	if results[Abort] == 0 || results[Success] == 0 {
+		t.Fatalf("want both aborted and successful runs, got %v", results)
+	}
+	if got := reg.Counter("atpg.podem_aborts").Value(); got != aborts {
+		t.Fatalf("podem_aborts %d, want %d", got, aborts)
+	}
+	if got := reg.Counter("atpg.podem_abort_implications").Value(); got != abortImplies {
+		t.Fatalf("podem_abort_implications %d, want %d (of %d in all)", got, abortImplies, e.Stats.Implies)
+	}
+	if abortImplies >= e.Stats.Implies {
+		t.Fatalf("aborted runs account for all %d implications", e.Stats.Implies)
+	}
+}
+
+// eval3Forced is a full three-valued simulation of n under the input
+// assignment, with site (if valid) forced to stuck.
+func eval3Forced(n *netlist.Netlist, topo []netlist.GateID, in map[netlist.GateID]sim.V3, site netlist.GateID, stuck sim.V3) []sim.V3 {
+	vals := make([]sim.V3, len(n.Gates))
+	for _, id := range topo {
+		g := &n.Gates[id]
+		switch v, ok := in[id]; {
+		case ok:
+			vals[id] = v
+		case g.Type == netlist.Input || g.Type == netlist.DFF:
+			vals[id] = sim.V3X
+		default:
+			fin := make([]sim.V3, len(g.Fanin))
+			for i, f := range g.Fanin {
+				fin[i] = vals[f]
+			}
+			vals[id] = sim.EvalGate3(g.Type, fin)
+		}
+		if id == site {
+			vals[id] = stuck
+		}
+	}
+	return vals
+}
+
+// TestPlanesMatchFullSimulation: whatever a run ends in, both planes
+// hold a full three-valued simulation of the cone under the engine's
+// assignment (the faulty plane with the site forced), so trail undo and
+// counting implication lose nothing. Random circuits repeat fanins,
+// mix every gate type and feed constants; s27 adds scan flip-flops.
+func TestPlanesMatchFullSimulation(t *testing.T) {
+	var circuits []*netlist.Netlist
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 30; i++ {
+		n := randomNetlist(rng, 4+rng.Intn(5), 20+rng.Intn(40))
+		k0, k1 := n.MustAddGate("k0", netlist.Const0), n.MustAddGate("k1", netlist.Const1)
+		for _, k := range []netlist.GateID{k0, k1} {
+			g := n.MustAddGate("use_"+n.Gates[k].Name, netlist.Or)
+			n.Connect(k, g)
+			n.Connect(netlist.GateID(rng.Intn(len(n.Gates)-3)), g)
+			n.MarkPO(g)
+		}
+		circuits = append(circuits, n)
+	}
+	s27, err := gen.Benchmark("s27")
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits = append(circuits, s27)
+	for ci, n := range circuits {
+		topo, err := n.TopoOrder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.MaxBacktracks = 3 // end some runs mid-search
+		check := func(what string, target netlist.GateID, propagate bool, stuck sim.V3) {
+			in := map[netlist.GateID]sim.V3{}
+			for pos, id := range e.inputs {
+				if e.assign[pos] != sim.V3X {
+					in[id] = e.assign[pos]
+				}
+			}
+			good := eval3Forced(n, topo, in, netlist.InvalidGate, 0)
+			faulty := eval3Forced(n, topo, in, target, stuck)
+			for _, id := range e.order {
+				if e.good(id) != good[id] {
+					t.Fatalf("circuit %d %s: good %s = %v, simulation %v", ci, what, n.Gates[id].Name, e.good(id), good[id])
+				}
+				if propagate && e.faulty(id) != faulty[id] {
+					t.Fatalf("circuit %d %s: faulty %s = %v, simulation %v", ci, what, n.Gates[id].Name, e.faulty(id), faulty[id])
+				}
+			}
+		}
+		for id := range n.Gates {
+			target := netlist.GateID(id)
+			for v := uint8(0); v < 2; v++ {
+				if e.inputPos[target] < 0 {
+					_, res := e.Justify(target, v)
+					check("justify "+res.String(), target, false, 0)
+				}
+				_, res := e.Detect(target, v)
+				check("detect "+res.String(), target, true, sim.V3(v))
+			}
+		}
+	}
 }

@@ -26,17 +26,29 @@ var goldenDigests = map[string]string{
 	"s1423": "6ce25bcf05f4464dd470f3193356a117ef70e6b490f9db4d1c57bb172d08480c",
 }
 
+// goldenDeepDigests pins Justify alone at DefaultMaxBacktracks, the
+// budget cube generation runs with, on the two circuits whose searches
+// run thousands of backtracks deep: c3540 aborts 29 of them and c6288
+// 9. Same hash as goldenDigests without the Detect calls.
+var goldenDeepDigests = map[string]string{
+	"c3540": "4e83b977c6cf7689cae753f7fb6a7a65c487048b0973f198741d6a15726d9844",
+	"c6288": "3d8d7ba2769824b0f50f5a35267506448f0d884dce6ac6d49f618961bb6a72c2",
+}
+
 // digestBacktracks bounds each call so the abort path is exercised on
 // the multiplier and the test stays fast under -race.
 const digestBacktracks = 50
 
-func podemDigest(t *testing.T, n *netlist.Netlist) string {
+// podemDigest hashes Justify(g, 0/1) for every gate g and, when detect
+// is set, Detect(g, sa0/sa1) for every gate after them, on one engine
+// bounded by maxBacktracks.
+func podemDigest(t *testing.T, n *netlist.Netlist, maxBacktracks int, detect bool) string {
 	t.Helper()
 	e, err := NewEngine(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.MaxBacktracks = digestBacktracks
+	e.MaxBacktracks = maxBacktracks
 	h := sha256.New()
 	var buf [8]byte
 	put := func(x uint64) {
@@ -54,7 +66,7 @@ func podemDigest(t *testing.T, n *netlist.Netlist) string {
 			record(e.Justify(netlist.GateID(id), v))
 		}
 	}
-	for id := range n.Gates {
+	for id := 0; detect && id < len(n.Gates); id++ {
 		for sa := uint8(0); sa < 2; sa++ {
 			record(e.Detect(netlist.GateID(id), sa))
 		}
@@ -76,8 +88,22 @@ func TestPODEMDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := podemDigest(t, n), goldenDigests[name]; got != want {
+			if got, want := podemDigest(t, n, digestBacktracks, true), goldenDigests[name]; got != want {
 				t.Errorf("%s: PODEM digest %s, want %s", name, got, want)
+			}
+		})
+	}
+	for _, name := range []string{"c3540", "c6288"} {
+		t.Run(name+"/deep", func(t *testing.T) {
+			if testing.Short() && name == "c6288" {
+				t.Skip("c6288 deep digest is long; skipped in -short")
+			}
+			n, err := gen.Benchmark(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := podemDigest(t, n, DefaultMaxBacktracks, false), goldenDeepDigests[name]; got != want {
+				t.Errorf("%s: deep PODEM digest %s, want %s", name, got, want)
 			}
 		})
 	}

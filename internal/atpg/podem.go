@@ -3,6 +3,7 @@ package atpg
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
@@ -16,11 +17,12 @@ import (
 // process default, or a per-run scoped registry (Engine.SetRegistry),
 // so concurrent runs attribute PODEM work to their own reports.
 type meters struct {
-	calls      *obs.Counter
-	backtracks *obs.Counter
-	aborts     *obs.Counter
-	untestable *obs.Counter
-	implies    *obs.Counter
+	calls        *obs.Counter
+	backtracks   *obs.Counter
+	aborts       *obs.Counter
+	untestable   *obs.Counter
+	implies      *obs.Counter
+	abortImplies *obs.Counter // implications spent by runs that aborted
 }
 
 func metersFor(r *obs.Registry) *meters {
@@ -32,11 +34,12 @@ func metersFor(r *obs.Registry) *meters {
 
 func newMeters(r *obs.Registry) *meters {
 	return &meters{
-		calls:      r.Counter("atpg.podem_calls"),
-		backtracks: r.Counter("atpg.podem_backtracks"),
-		aborts:     r.Counter("atpg.podem_aborts"),
-		untestable: r.Counter("atpg.podem_untestable"),
-		implies:    r.Counter("atpg.podem_implications"),
+		calls:        r.Counter("atpg.podem_calls"),
+		backtracks:   r.Counter("atpg.podem_backtracks"),
+		aborts:       r.Counter("atpg.podem_aborts"),
+		untestable:   r.Counter("atpg.podem_untestable"),
+		implies:      r.Counter("atpg.podem_implications"),
+		abortImplies: r.Counter("atpg.podem_abort_implications"),
 	}
 }
 
@@ -89,12 +92,15 @@ type Analysis struct {
 
 // Engine runs PODEM against one netlist, over an Analysis of it.
 //
-// Implication is event-driven: each run evaluates the target's cone
-// once, and every later implication re-evaluates only the in-cone
-// fanout of the inputs that changed since the previous one, in
-// topological order. Both planes then hold exactly what a full cone
-// evaluation would, so decisions, cubes and verdicts do not depend on
-// the evaluation strategy.
+// Implication undoes exactly what it did. A decision only ever assigns
+// an X input, and three-valued logic is monotone, so implication only
+// moves gates from X to 0/1. Each move goes on a trail, and a flip or a
+// pop resets the trail back to the decision's mark. A gate is decided
+// in O(1) as its fanins arrive, from a count of its X fanins (plus
+// their parity, for XOR/XNOR), never by re-evaluating its fanin list.
+// Both planes therefore always equal a full three-valued simulation of
+// the cone under the current assignment, so decisions, cubes and
+// verdicts do not depend on the evaluation strategy.
 //
 // An Engine is not safe for concurrent use; create one per goroutine.
 type Engine struct {
@@ -107,28 +113,31 @@ type Engine struct {
 	NaiveBacktrace bool
 
 	// scratch
-	good    []sim.V3
-	faulty  []sim.V3
-	assign  []sim.V3 // by input position
-	faninV3 []sim.V3
+	assign  []sim.V3         // by input position
 	relev   []bool           // gates relevant to the current target
-	order   []netlist.GateID // topo order restricted to relev
+	order   []netlist.GateID // the cone's gates, in topological order
 	obsList []netlist.GateID // observable outputs within relev
 	tfo     []netlist.GateID // detect mode: the site's non-source TFO, in topo order
-	coneBuf []netlist.GateID // the cone's gates in discovery order
 	dfsBuf  []netlist.GateID // DFS stack
 	posBits []uint64         // bitset over topo positions, for ordering the cone
 	stack   []decision       // the run's decision stack
 
-	// Event-driven implication state. rank[id] is id's index in order
-	// (valid where relev); dirty is a bitset over ranks holding the
-	// gates scheduled for re-evaluation, swept between the dirtyLo and
-	// dirtyHi words; pending lists the input positions assigned since
-	// the previous implication.
-	rank             []int32
-	dirty            []uint64
-	dirtyLo, dirtyHi int
-	pending          []int32
+	// Implication state, by rank: a gate's index in the order the cone
+	// was discovered (rank[id] is valid where relev). fo lists each cone
+	// gate's in-cone fanout, once per fanin occurrence, between foOff[r]
+	// and foOff[r+1]; op is a gate's function as the counts read it. val
+	// holds the good (0) and faulty (1) planes; cnt, per plane, holds a
+	// gate's X fanins << 1 | the parity of its definite ones. trail lists
+	// rank<<1|plane of every gate made definite, in order; seeds lists
+	// the cone's fanin-less logic gates (constants).
+	rank  []int32
+	op    []uint8
+	foOff []int32
+	fo    []int32
+	val   [2][]sim.V3
+	cnt   [2][]int32
+	trail []int32
+	seeds []netlist.GateID
 
 	// Detect-mode scratch: hasXPath's visit stamps (a gate is visited
 	// in the current search when visit[id] == visitEpoch) and stack,
@@ -195,18 +204,16 @@ func Analyze(n *netlist.Netlist) (*Analysis, error) {
 }
 
 // NewEngine returns a fresh engine over the analysis: only the
-// per-run scratch (value planes, assignment, cone marks) is allocated.
+// per-run scratch (assignment, cone marks) is allocated; the cone-sized
+// scratch grows on first use and is reused across runs.
 func (a *Analysis) NewEngine() *Engine {
 	num := len(a.n.Gates)
 	return &Engine{
 		Analysis:      a,
 		MaxBacktracks: DefaultMaxBacktracks,
-		good:          make([]sim.V3, num),
-		faulty:        make([]sim.V3, num),
 		assign:        make([]sim.V3, len(a.inputs)),
 		relev:         make([]bool, num),
 		rank:          make([]int32, num),
-		dirtyHi:       -1,
 		met:           defaultMeters,
 	}
 }
@@ -254,9 +261,11 @@ func (a *Analysis) computeObsDist() {
 	}
 }
 
-// decision is one node of the PODEM decision stack.
+// decision is one node of the PODEM decision stack; mark is the trail
+// length before it was implied.
 type decision struct {
 	pos     int
+	mark    int
 	val     sim.V3
 	flipped bool
 }
@@ -284,10 +293,6 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 		e.assign[i] = sim.V3X
 	}
 	wantV := sim.V3(want & 1)
-	var stuck sim.V3
-	if propagate {
-		stuck = sim.V3(want&1) ^ 1 // faulty plane forces the stuck value
-	}
 
 	// Trivial case: the target is itself an input.
 	if pos := e.inputPos[target]; pos >= 0 {
@@ -306,33 +311,39 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 	// and the justification cones of everything on those paths. This
 	// makes each implication O(cone) instead of O(circuit).
 	e.prepareCone(target, propagate)
+	e.start(target, wantV, propagate)
 
 	stack := e.stack[:0]
 	defer func() { e.stack = stack[:0] }()
 	backtracks := 0
+	var implies int64
 	maxBT := e.MaxBacktracks
 	if maxBT <= 0 {
 		maxBT = DefaultMaxBacktracks
 	}
 
-	for full := true; ; full = false {
-		e.imply(target, stuck, propagate, full)
+	for {
+		implies++
+		e.Stats.Implies++
+		e.met.implies.Inc()
 
 		ok, failed := e.status(target, wantV, propagate)
 		if ok {
 			return e.cubeFromAssign(), Success
 		}
-		advanced := false
 		if !failed {
 			if objNode, objVal, found := e.objective(target, wantV, propagate); found {
 				pos, val := e.backtrace(objNode, objVal)
-				stack = append(stack, decision{pos: pos, val: val})
-				e.setAssign(pos, val)
-				advanced = true
+				// Undo is exact only because every decision assigns an X
+				// input; backtrace walks X nets only, so it reaches one.
+				if pos < 0 || e.assign[pos] != sim.V3X {
+					panic(fmt.Sprintf("atpg: backtrace from %s=%v reached no unassigned input (position %d)",
+						e.n.Gates[objNode].Name, objVal, pos))
+				}
+				stack = append(stack, decision{pos: pos, mark: len(e.trail), val: val})
+				e.decide(pos, val, propagate)
+				continue
 			}
-		}
-		if advanced {
-			continue
 		}
 		// Dead end: flip the deepest unflipped decision.
 		for {
@@ -347,111 +358,153 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 				e.met.backtracks.Inc()
 				if backtracks > maxBT {
 					e.met.aborts.Inc()
+					e.met.abortImplies.Add(implies)
 					return Cube{}, Abort
 				}
 				top.flipped = true
 				top.val ^= 1
-				e.setAssign(top.pos, top.val)
+				e.undo(top.mark)
+				e.decide(top.pos, top.val, propagate)
 				break
 			}
-			e.setAssign(top.pos, sim.V3X)
+			e.undo(top.mark)
+			e.assign[top.pos] = sim.V3X
 			stack = stack[:len(stack)-1]
 		}
 	}
 }
 
-// setAssign assigns input position pos and queues it for the next
-// event-driven implication.
-func (e *Engine) setAssign(pos int, v sim.V3) {
+// start brings a run's planes from all X to the implication of what is
+// fixed before the first decision: the cone's constants, detect mode's
+// stuck value at the site (faulty plane) and an input site's seeded
+// value. None of it is ever undone.
+func (e *Engine) start(target netlist.GateID, want sim.V3, propagate bool) {
+	e.trail = e.trail[:0]
+	site := e.rank[target]
+	if propagate {
+		e.define(1, site, want^1)
+	}
+	for _, id := range e.seeds {
+		r := e.rank[id]
+		v := sim.EvalGate3(e.n.Gates[id].Type, nil)
+		e.define(0, r, v)
+		if propagate && r != site {
+			e.define(1, r, v)
+		}
+	}
+	if propagate && e.inputPos[target] >= 0 {
+		e.define(0, site, want)
+	}
+	e.forward(0)
+}
+
+// decide assigns input position pos and implies it in every active
+// plane.
+func (e *Engine) decide(pos int, v sim.V3, propagate bool) {
 	e.assign[pos] = v
-	e.pending = append(e.pending, int32(pos))
+	from := len(e.trail)
+	r := e.rank[e.inputs[pos]]
+	e.define(0, r, v)
+	if propagate {
+		e.define(1, r, v)
+	}
+	e.forward(from)
 }
 
-// imply brings the good (and, when propagate, faulty) plane up to date
-// with the current input assignment. A full implication evaluates the
-// whole cone, as each run's first must; otherwise only gates downstream
-// of the inputs assigned since the previous implication are
-// re-evaluated, and only while their values keep changing.
-func (e *Engine) imply(site netlist.GateID, stuck sim.V3, propagate, full bool) {
-	e.Stats.Implies++
-	e.met.implies.Inc()
-	pending := e.pending
-	e.pending = pending[:0]
-	if full {
-		e.evalPlane(e.good, netlist.InvalidGate, sim.V3X)
-		if propagate {
-			e.evalPlane(e.faulty, site, stuck)
-		}
-		return
-	}
-	for _, pos := range pending {
-		if id := e.inputs[pos]; e.relev[id] {
-			e.schedule(e.rank[id])
-		}
-	}
-	gates := e.n.Gates
-	for w := e.dirtyLo; w <= e.dirtyHi; w++ {
-		for e.dirty[w] != 0 {
-			b := bits.TrailingZeros64(e.dirty[w])
-			e.dirty[w] &^= 1 << uint(b)
-			id := e.order[w<<6|b]
-			g := &gates[id]
-			var gv, fv sim.V3
-			if pos := e.inputPos[id]; pos >= 0 {
-				gv = e.assign[pos]
-				fv = gv
-			} else {
-				gv = e.evalGate(g, e.good)
-				if propagate {
-					fv = e.evalGate(g, e.faulty)
-				}
-			}
-			changed := gv != e.good[id]
-			e.good[id] = gv
-			if propagate {
-				if id == site {
-					fv = stuck
-				}
-				changed = changed || fv != e.faulty[id]
-				e.faulty[id] = fv
-			}
-			if changed {
-				for _, f := range g.Fanout {
-					// A DFF fanout is a source in the full-scan view: its
-					// value comes from the assignment, not from id.
-					if e.relev[f] && e.inputPos[f] < 0 {
-						e.schedule(e.rank[f])
-					}
-				}
-			}
-		}
-	}
-	e.dirtyLo, e.dirtyHi = len(e.dirty), -1
+// define makes the X gate at rank r definite in plane p.
+func (e *Engine) define(p int, r int32, v sim.V3) {
+	e.val[p][r] = v
+	e.trail = append(e.trail, r<<1|int32(p))
 }
 
-// schedule marks the cone gate at rank r for re-evaluation. A non-DFF
-// fanout always ranks above the gate feeding it, so the sweep in imply
-// reaches it.
-func (e *Engine) schedule(r int32) {
-	w := int(r >> 6)
-	e.dirty[w] |= 1 << uint(r&63)
-	if w < e.dirtyLo {
-		e.dirtyLo = w
+// forward implies the trail entries from index from on: each one
+// arrives at its in-cone fanout, whose count drops by one and whose
+// parity takes the value. An X fanout is decided when the value
+// controls it or when its last X fanin arrives, and joins the trail in
+// turn. A definite gate is never decided again.
+func (e *Engine) forward(from int) {
+	trail := e.trail
+	for i := from; i < len(trail); i++ {
+		t := trail[i]
+		val, cnt := e.val[t&1], e.cnt[t&1]
+		v := val[t>>1]
+		for _, f := range e.fo[e.foOff[t>>1]:e.foOff[t>>1+1]] {
+			c := (cnt[f] - 2) ^ int32(v)
+			cnt[f] = c
+			if val[f] != sim.V3X {
+				continue
+			}
+			op := e.op[f]
+			out := v
+			if op&opParity != 0 {
+				if c > 1 {
+					continue
+				}
+				out = sim.V3(c & 1)
+			} else if c > 1 && v != sim.V3(op&opCtl1) {
+				continue
+			}
+			// A controlled gate outputs the arriving value, either because
+			// it controls or because every fanin carried it.
+			val[f] = out ^ sim.V3(op>>1&1)
+			trail = append(trail, f<<1|t&1)
+		}
 	}
-	if w > e.dirtyHi {
-		e.dirtyHi = w
-	}
+	e.trail = trail
 }
 
-// prepareCone computes the relevant gate set, the restricted evaluation
-// order and the in-cone observable outputs for one PODEM run. It
-// touches only the previous and the new cone, never the whole netlist.
+// undo resets the trail to mark: each later entry goes back to X, in
+// reverse order, and gives its fanout back the count and parity it took.
+func (e *Engine) undo(mark int) {
+	for i := len(e.trail) - 1; i >= mark; i-- {
+		t := e.trail[i]
+		val, cnt := e.val[t&1], e.cnt[t&1]
+		v := int32(val[t>>1])
+		val[t>>1] = sim.V3X
+		for _, f := range e.fo[e.foOff[t>>1]:e.foOff[t>>1+1]] {
+			cnt[f] = (cnt[f] ^ v) + 2
+		}
+	}
+	e.trail = e.trail[:mark]
+}
+
+// Gate functions as the counts read them: the controlling input value
+// (AND family 0, OR family 1), output inversion, and whether the gate
+// is a parity gate, decided only when its last X fanin arrives. BUF and
+// NOT count as one-input AND and NAND.
+const (
+	opCtl1   = 1 << 0
+	opInv    = 1 << 1
+	opParity = 1 << 2
+)
+
+var gateOps = [netlist.Const1 + 1]uint8{
+	netlist.Not:  opInv,
+	netlist.Nand: opInv,
+	netlist.Or:   opCtl1,
+	netlist.Nor:  opCtl1 | opInv,
+	netlist.Xor:  opParity,
+	netlist.Xnor: opParity | opInv,
+}
+
+// grow returns s resliced to length n, growing its capacity as append
+// does when it is too short.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// prepareCone computes the relevant gate set, its ranks and in-cone
+// fanout lists, the in-cone observable outputs and the D-frontier scan
+// order for one PODEM run, and sets every cone gate to X with all its
+// fanins counted X. It touches only the previous and the new cone,
+// never the whole netlist.
 func (e *Engine) prepareCone(target netlist.GateID, propagate bool) {
 	n := e.n
 	for _, id := range e.order {
 		e.relev[id] = false
 	}
-	cone := e.coneBuf[:0]
+	e.order = e.order[:0]
+	e.foOff = e.foOff[:0]
 	stack := e.dfsBuf[:0]
 	e.tfo = e.tfo[:0]
 	if propagate {
@@ -466,20 +519,19 @@ func (e *Engine) prepareCone(target netlist.GateID, propagate bool) {
 			if e.relev[id] {
 				continue
 			}
-			e.relev[id] = true
-			cone = append(cone, id)
+			e.admit(id)
 			for _, s := range n.Gates[id].Fanout {
 				if n.Gates[s].Type != netlist.DFF {
 					stack = append(stack, s)
 				} else if !e.relev[s] {
-					e.relev[s] = true
-					cone = append(cone, s)
+					e.admit(s)
 				}
 			}
 		}
 		// Only TFO gates can carry a D on an input, so the D-frontier
-		// scan walks this subset of the order.
-		e.tfo = e.topoSorted(cone, e.tfo)
+		// scan walks this subset, in the whole-netlist topological order:
+		// it breaks ties in that order.
+		e.tfo = e.topoSorted(e.order, e.tfo)
 		kept := e.tfo[:0]
 		for _, id := range e.tfo {
 			if t := n.Gates[id].Type; t != netlist.DFF && !t.IsSource() {
@@ -487,14 +539,15 @@ func (e *Engine) prepareCone(target netlist.GateID, propagate bool) {
 			}
 		}
 		e.tfo = kept
-		stack = append(stack, cone...)
+		stack = append(stack, e.order...)
 	} else {
-		e.relev[target] = true
-		cone = append(cone, target)
+		e.admit(target)
 		stack = append(stack, target)
 	}
 	// Reverse closure under fanin (TFI), stopping at combinational
-	// sources (DFF outputs are sources in the full-scan view).
+	// sources (DFF outputs are sources in the full-scan view). Every
+	// logic gate of the cone is popped once and has all its fanins in
+	// the cone, so the loop counts each in-cone fanout edge once.
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -504,29 +557,72 @@ func (e *Engine) prepareCone(target netlist.GateID, propagate bool) {
 		}
 		for _, f := range g.Fanin {
 			if !e.relev[f] {
-				e.relev[f] = true
-				cone = append(cone, f)
+				e.admit(f)
 				stack = append(stack, f)
 			}
+			e.foOff[e.rank[f]]++
 		}
 	}
 	e.dfsBuf = stack[:0]
-	e.coneBuf = cone[:0]
+	// From here on walk the cone in topological order: on a netlist much
+	// larger than the cache, that keeps the gate reads close to
+	// sequential. Ranks stay in discovery order.
+	e.order = e.topoSorted(e.order, e.order[:0])
 
-	// The cone in the whole-netlist topological order: D-frontier scans
-	// break ties in this order.
-	e.order = e.topoSorted(cone, e.order[:0])
+	// Turn the fanout counts into block ends, then fill each block from
+	// its end, leaving foOff[r] at its start.
+	nr := len(e.order)
+	e.foOff = append(e.foOff, 0)
+	end := int32(0)
+	for r := range nr {
+		end += e.foOff[r]
+		e.foOff[r] = end
+	}
+	e.foOff[nr] = end
+	e.fo = grow(e.fo, int(end))
+	planes := 1
+	if propagate {
+		planes = 2
+	}
+	e.op = grow(e.op, nr)
+	for p := 0; p < planes; p++ {
+		e.val[p] = grow(e.val[p], nr)
+		e.cnt[p] = grow(e.cnt[p], nr)
+	}
 	e.obsList = e.obsList[:0]
-	for r, id := range e.order {
-		e.rank[id] = int32(r)
+	e.seeds = e.seeds[:0]
+	for _, id := range e.order {
+		r := e.rank[id]
 		if propagate && e.obsDist[id] == 0 {
 			e.obsList = append(e.obsList, id)
 		}
+		k := 0
+		if e.inputPos[id] < 0 {
+			g := &n.Gates[id]
+			k = len(g.Fanin)
+			e.op[r] = gateOps[g.Type]
+			if k == 0 {
+				e.seeds = append(e.seeds, id)
+			}
+			for _, f := range g.Fanin {
+				rf := e.rank[f]
+				e.foOff[rf]--
+				e.fo[e.foOff[rf]] = r
+			}
+		}
+		for p := 0; p < planes; p++ {
+			e.val[p][r] = sim.V3X
+			e.cnt[p][r] = int32(k) << 1
+		}
 	}
-	if w := (len(e.order) + 63) / 64; len(e.dirty) < w {
-		e.dirty = make([]uint64, w)
-	}
-	e.dirtyLo, e.dirtyHi = len(e.dirty), -1
+}
+
+// admit adds id to the cone at the next rank, with no fanouts counted.
+func (e *Engine) admit(id netlist.GateID) {
+	e.relev[id] = true
+	e.rank[id] = int32(len(e.order))
+	e.order = append(e.order, id)
+	e.foOff = append(e.foOff, 0)
 }
 
 // topoSorted appends ids (distinct gates) to out in topological order:
@@ -552,38 +648,14 @@ func (e *Engine) topoSorted(ids, out []netlist.GateID) []netlist.GateID {
 	return out
 }
 
-func (e *Engine) evalPlane(vals []sim.V3, site netlist.GateID, sv sim.V3) {
-	gates := e.n.Gates
-	for _, id := range e.order {
-		var v sim.V3
-		if pos := e.inputPos[id]; pos >= 0 {
-			v = e.assign[pos]
-		} else {
-			v = e.evalGate(&gates[id], vals)
-		}
-		if id == site {
-			v = sv
-		}
-		vals[id] = v
-	}
-}
-
-// evalGate evaluates a non-input gate over one plane's fanin values.
-func (e *Engine) evalGate(g *netlist.Gate, vals []sim.V3) sim.V3 {
-	if cap(e.faninV3) < len(g.Fanin) {
-		e.faninV3 = make([]sim.V3, len(g.Fanin))
-	}
-	in := e.faninV3[:len(g.Fanin)]
-	for i, f := range g.Fanin {
-		in[i] = vals[f]
-	}
-	return sim.EvalGate3(g.Type, in)
-}
+// good and faulty read a cone gate's value in each plane.
+func (e *Engine) good(id netlist.GateID) sim.V3   { return e.val[0][e.rank[id]] }
+func (e *Engine) faulty(id netlist.GateID) sim.V3 { return e.val[1][e.rank[id]] }
 
 // status reports whether the objective is met (ok) or provably violated
 // on this branch (failed).
 func (e *Engine) status(target netlist.GateID, want sim.V3, propagate bool) (ok, failed bool) {
-	gv := e.good[target]
+	gv := e.good(target)
 	if !propagate {
 		if gv == want {
 			return true, false
@@ -601,7 +673,7 @@ func (e *Engine) status(target netlist.GateID, want sim.V3, propagate bool) (ok,
 	if gv == want {
 		// Excited; detected if any observable net differs definitely.
 		for _, id := range e.obsList {
-			g, f := e.good[id], e.faulty[id]
+			g, f := e.good(id), e.faulty(id)
 			if g != sim.V3X && f != sim.V3X && g != f {
 				return true, false
 			}
@@ -622,11 +694,11 @@ func (e *Engine) status(target netlist.GateID, want sim.V3, propagate bool) (ok,
 func (e *Engine) dFrontier() []netlist.GateID {
 	out := e.frontier[:0]
 	for _, id := range e.tfo {
-		if e.good[id] != sim.V3X && e.faulty[id] != sim.V3X {
+		if e.good(id) != sim.V3X && e.faulty(id) != sim.V3X {
 			continue
 		}
 		for _, f := range e.n.Gates[id].Fanin {
-			gv, fv := e.good[f], e.faulty[f]
+			gv, fv := e.good(f), e.faulty(f)
 			if gv != sim.V3X && fv != sim.V3X && gv != fv {
 				out = append(out, id)
 				break
@@ -666,8 +738,8 @@ func (e *Engine) hasXPath(site netlist.GateID) bool {
 		}
 		e.visit[id] = epoch
 		// Observable: a comb output inside the cone (obsList's members).
-		if e.obsDist[id] == 0 && e.relev[id] && (e.good[id] == sim.V3X || e.faulty[id] == sim.V3X ||
-			e.good[id] != e.faulty[id]) {
+		if e.obsDist[id] == 0 && e.relev[id] && (e.good(id) == sim.V3X || e.faulty(id) == sim.V3X ||
+			e.good(id) != e.faulty(id)) {
 			return true
 		}
 		for _, s := range e.n.Gates[id].Fanout {
@@ -676,7 +748,7 @@ func (e *Engine) hasXPath(site netlist.GateID) bool {
 				// observable set, already handled above.
 				continue
 			}
-			if e.good[s] == sim.V3X || e.faulty[s] == sim.V3X {
+			if e.good(s) == sim.V3X || e.faulty(s) == sim.V3X {
 				stack = append(stack, s)
 			}
 		}
@@ -686,7 +758,7 @@ func (e *Engine) hasXPath(site netlist.GateID) bool {
 
 // objective picks the next (node, value) goal.
 func (e *Engine) objective(target netlist.GateID, want sim.V3, propagate bool) (netlist.GateID, sim.V3, bool) {
-	if e.good[target] == sim.V3X {
+	if e.good(target) == sim.V3X {
 		return target, want, true
 	}
 	if !propagate {
@@ -713,7 +785,7 @@ func (e *Engine) objective(target netlist.GateID, want sim.V3, propagate bool) (
 			objVal = sim.V3(cv) ^ 1 // non-controlling value
 		}
 		for _, f := range g.Fanin {
-			if e.good[f] == sim.V3X {
+			if e.good(f) == sim.V3X {
 				bestInput, bestVal, bestDist = f, objVal, d
 				break
 			}
@@ -737,10 +809,13 @@ func (e *Engine) objective(target netlist.GateID, want sim.V3, propagate bool) (
 
 // backtrace walks an objective back to an unassigned input, returning
 // its position and the value to try first. It follows X-valued nets
-// only; SCOAP controllabilities steer the choice unless NaiveBacktrace.
+// only, and an X gate always has an X fanin, so the walk ends on an
+// unassigned input; -1 would mean it did not (a constant, or a gate
+// with no X fanin), which run treats as a broken invariant. SCOAP
+// controllabilities steer the choice unless NaiveBacktrace.
 func (e *Engine) backtrace(node netlist.GateID, v sim.V3) (int, sim.V3) {
 	n := e.n
-	for {
+	for node != netlist.InvalidGate {
 		if pos := e.inputPos[node]; pos >= 0 {
 			return int(pos), v
 		}
@@ -779,7 +854,7 @@ func (e *Engine) backtrace(node netlist.GateID, v sim.V3) (int, sim.V3) {
 			var pick netlist.GateID = netlist.InvalidGate
 			var bestCost int64 = 1 << 62
 			for _, f := range g.Fanin {
-				fv := e.good[f]
+				fv := e.good(f)
 				if fv == sim.V3X {
 					xCount++
 					cost := minI64(e.sc.CC0[f], e.sc.CC1[f])
@@ -794,11 +869,6 @@ func (e *Engine) backtrace(node netlist.GateID, v sim.V3) (int, sim.V3) {
 					parity ^= fv
 				}
 			}
-			if pick == netlist.InvalidGate {
-				// No X input: implication will expose the conflict; fall
-				// back to the first fanin to keep the walk moving.
-				pick = g.Fanin[0]
-			}
 			need := parity ^ v // residue this input must supply if alone
 			if xCount > 1 {
 				// Underdetermined: try the cheaper value first.
@@ -810,16 +880,15 @@ func (e *Engine) backtrace(node netlist.GateID, v sim.V3) (int, sim.V3) {
 			}
 			node, v = pick, need
 		default:
-			// Constants cannot be backtraced; signal by returning the
-			// first input position with the requested value — implication
-			// will immediately fail the branch.
-			return 0, v
+			node = netlist.InvalidGate // constants are never X
 		}
 	}
+	return -1, v
 }
 
-// pickInput selects an X-valued fanin of g; want is the value it will be
-// asked for; hardest selects max-cost (all-must case) vs min-cost.
+// pickInput selects an X-valued fanin of g (InvalidGate if none); want
+// is the value it will be asked for; hardest selects max-cost (all-must
+// case) vs min-cost.
 func (e *Engine) pickInput(g *netlist.Gate, want sim.V3, hardest bool) netlist.GateID {
 	var pick netlist.GateID = netlist.InvalidGate
 	var bestCost int64
@@ -829,7 +898,7 @@ func (e *Engine) pickInput(g *netlist.Gate, want sim.V3, hardest bool) netlist.G
 		bestCost = 1 << 62
 	}
 	for _, f := range g.Fanin {
-		if e.good[f] != sim.V3X {
+		if e.good(f) != sim.V3X {
 			continue
 		}
 		if e.NaiveBacktrace {
@@ -839,9 +908,6 @@ func (e *Engine) pickInput(g *netlist.Gate, want sim.V3, hardest bool) netlist.G
 		if hardest && cost > bestCost || !hardest && cost < bestCost {
 			bestCost, pick = cost, f
 		}
-	}
-	if pick == netlist.InvalidGate {
-		pick = g.Fanin[0]
 	}
 	return pick
 }

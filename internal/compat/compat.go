@@ -210,12 +210,12 @@ func BuildCubes(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg Build
 			}
 			cube, res := eng.Justify(node.ID, node.RareValue)
 			g.CubesDone = done + 1
-			if res != atpg.Success {
+			if res == atpg.Success {
+				g.Nodes = append(g.Nodes, node)
+				g.Cubes = append(g.Cubes, cube)
+			} else {
 				g.Dropped++
-				continue
 			}
-			g.Nodes = append(g.Nodes, node)
-			g.Cubes = append(g.Cubes, cube)
 			if cfg.Progress != nil {
 				cfg.Progress(done+1, len(candidates))
 			}

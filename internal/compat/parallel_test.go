@@ -1,6 +1,7 @@
 package compat
 
 import (
+	"context"
 	"testing"
 
 	"cghti/internal/gen"
@@ -54,5 +55,37 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatal("DefaultWorkers < 1")
+	}
+}
+
+// TestSerialProgressCountsDrops: the serial path reports after every
+// candidate, dropped ones included, so a run whose last candidates are
+// dropped still reports cube generation complete. At a 1-backtrack
+// budget c3540 drops 255 of its 907 candidates, the last three among
+// them.
+func TestSerialProgressCountsDrops(t *testing.T) {
+	n, err := gen.Benchmark("c3540")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rare.Extract(n, rare.Config{Vectors: 2000, Threshold: 0.2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls, lastDone, lastTotal int
+	cfg := BuildConfig{MaxBacktracks: 1, Workers: 1, Progress: func(done, total int) {
+		calls++
+		lastDone, lastTotal = done, total
+	}}
+	g, err := BuildCubes(context.Background(), n, rs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.CubesTotal != 907 || g.Dropped == 0 {
+		t.Fatalf("probe drifted: %d candidates, %d dropped", g.CubesTotal, g.Dropped)
+	}
+	if calls != g.CubesTotal || lastDone != g.CubesTotal || lastTotal != g.CubesTotal {
+		t.Fatalf("%d progress calls, last (%d, %d); want %d calls, last (%d, %d)",
+			calls, lastDone, lastTotal, g.CubesTotal, g.CubesTotal, g.CubesTotal)
 	}
 }
