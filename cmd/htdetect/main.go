@@ -55,6 +55,9 @@ func main() {
 	if *goldenPath == "" || *infectedPath == "" || *trigger == "" {
 		cli.Fatalf(tool, "-golden, -infected and -trigger are required")
 	}
+	if err := checkFlags(*scheme, *activation); err != nil {
+		cli.Fatal(tool, err)
+	}
 	if err := cli.StartProfiles(*cpuprofile, *memprofile); err != nil {
 		cli.Fatal(tool, err)
 	}
@@ -101,7 +104,7 @@ func main() {
 		Golden:     golden,
 		Infected:   infected,
 		TriggerOut: trigID,
-		Activation: uint8(*activation & 1),
+		Activation: uint8(*activation),
 	}
 
 	needRare := *scheme == "all" || *scheme == "mero" || *scheme == "ndatpg"
@@ -195,4 +198,18 @@ func main() {
 		"trigger":  *trigger,
 		"scheme":   *scheme,
 	})
+}
+
+// checkFlags rejects an unknown -scheme and an -activation other than 0
+// or 1, naming the valid values, before any netlist is parsed.
+func checkFlags(scheme string, activation int) error {
+	switch scheme {
+	case "random", "mero", "ndatpg", "cotd", "all":
+	default:
+		return fmt.Errorf("unknown -scheme %q (want random, mero, ndatpg, cotd or all)", scheme)
+	}
+	if activation != 0 && activation != 1 {
+		return fmt.Errorf("-activation %d must be 0 or 1", activation)
+	}
+	return nil
 }

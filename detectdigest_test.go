@@ -15,7 +15,8 @@ import (
 
 // goldenDetectDigests pins the detection-side simulation consumers on
 // generated instances: detection evaluation against a random and a MERO
-// test set, MERO's vectors (its pool scoring decides their order), and
+// test set, MERO's vectors (its pool scoring decides their order, its
+// lock-step climb their bits), and
 // stuck-at fault coverage of the random set on the golden netlist. Each
 // digest must come out the same at every worker count. They were
 // recorded while these callers still submitted their blocks through a

@@ -25,10 +25,10 @@ type MEROConfig struct {
 	RandomVectors int
 	// Seed drives vector generation.
 	Seed int64
-	// Workers is the goroutine budget for scoring the random pool with
-	// the bit-parallel engine (1 = serial, 0 = GOMAXPROCS). The
-	// emitted test set is bit-identical for any worker count; the
-	// greedy mutation phase stays event-driven and serial.
+	// Workers is the goroutine budget of the bit-parallel engine that
+	// scores the random pool and climbs it (1 = serial, 0 =
+	// GOMAXPROCS). The emitted test set is bit-identical for any worker
+	// count.
 	Workers int
 }
 
@@ -47,22 +47,27 @@ func (c MEROConfig) withDefaults() MEROConfig {
 //  1. draw a pool of random vectors and sort it by how many rare nodes
 //     each vector drives to its rare value (descending);
 //  2. for each vector, flip one input bit at a time, keeping a flip only
-//     if it increases the number of rare nodes at their rare values
-//     (event-driven simulation makes each flip cheap);
+//     if it increases the number of rare nodes at their rare values;
 //  3. keep the mutated vector in the compact set if it improves the
 //     cumulative N-times excitation profile; stop once every rare node
 //     has been excited N times.
+//
+// A vector's climb in step 2 depends only on that vector, so the pool
+// climbs 2048 vectors at a time in lock-step on one bit-parallel
+// engine, one pattern lane per vector and one Run per input flip. Step
+// 3 then takes the batch's lanes in pool order, so the set is exactly
+// the one a vector-at-a-time loop emits.
 //
 // The returned set is the compact MERO test set.
 func MERO(n *netlist.Netlist, rs *rare.Set, cfg MEROConfig) (*TestSet, error) {
 	return MEROContext(context.Background(), n, rs, cfg)
 }
 
-// MEROContext is MERO with cooperative cancellation, checked per
-// scoring batch in phase 1 and per pool candidate in the mutation
-// phase. On cancellation during mutation the vectors accumulated so far
-// form a valid (smaller) MERO set and are returned alongside ctx's
-// error; cancellation during pool scoring returns a nil set.
+// MEROContext is MERO with cooperative cancellation, checked per batch
+// in both phases and per input flip of the climb. On cancellation
+// during mutation the vectors accumulated from completed batches form a
+// valid (smaller) MERO set and are returned alongside ctx's error;
+// cancellation during pool scoring returns a nil set.
 func MEROContext(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg MEROConfig) (*TestSet, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -74,218 +79,228 @@ func MEROContext(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg MERO
 	}
 
 	met := metersCtx(ctx)
-	ev, err := sim.NewEvent(n)
-	if err != nil {
-		return nil, err
-	}
-	ev.SetRegistry(obs.FromContext(ctx))
-
-	// Rare-hit bookkeeping is incremental: after each Propagate only the
-	// changed gates are re-examined, which turns the per-bit-flip cost
-	// from O(#rare nodes) into O(#changed gates). The full rescan is
-	// only needed when a whole new vector is applied.
-	rareVal := make(map[netlist.GateID]uint8, len(nodes))
-	for _, node := range nodes {
-		rareVal[node.ID] = node.RareValue
-	}
-	atRare := make(map[netlist.GateID]bool, len(nodes))
-	hits := 0
-	rescanHits := func() {
-		hits = 0
-		for _, node := range nodes {
-			at := ev.Val(node.ID) == node.RareValue
-			atRare[node.ID] = at
-			if at {
-				hits++
-			}
-		}
-	}
-	updateHits := func() {
-		for _, id := range ev.Changed() {
-			rv, ok := rareVal[id]
-			if !ok {
-				continue
-			}
-			now := ev.Val(id) == rv
-			if now != atRare[id] {
-				atRare[id] = now
-				if now {
-					hits++
-				} else {
-					hits--
-				}
-			}
-		}
-	}
-	apply := func(v []bool) {
-		for i, id := range inputs {
-			var b uint8
-			if v[i] {
-				b = 1
-			}
-			ev.SetInput(id, b)
-		}
-		ev.Propagate()
-		updateHits()
-	}
-
-	// Phase 1: random pool, scored 64 vectors at a time with the
-	// bit-parallel engine (the event simulator scores one vector per
-	// propagation; the packed engine scores a whole word per popcount).
-	type scored struct {
-		v    []bool
-		hits int
-	}
 	met.meroPoolVectors.Add(int64(cfg.RandomVectors))
-	vecs := make([][]bool, cfg.RandomVectors)
-	for i := range vecs {
+	pool := make([][]bool, cfg.RandomVectors)
+	for i := range pool {
 		v := make([]bool, len(inputs))
 		for j := range v {
 			v[j] = rng.Intn(2) == 1
 		}
-		vecs[i] = v
+		pool[i] = v
 	}
-	poolHits, err := scorePool(ctx, n, nodes, inputs, vecs, cfg.Workers)
+	p, err := sim.AcquirePacked(n, min(meroWords, (len(pool)+63)/64))
 	if err != nil {
 		return nil, err
 	}
-	pool := make([]scored, len(vecs))
-	for i, v := range vecs {
-		pool[i] = scored{v: v, hits: poolHits[i]}
+	defer sim.ReleasePacked(p)
+	p.SetWorkers(cfg.Workers)
+	p.SetRegistry(obs.FromContext(ctx))
+	l := newLanes(p, inputs, nodes)
+	batch := p.Patterns()
+	batchStart := func() error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return chaos.Hit(stage.MERO, 0)
 	}
-	sort.SliceStable(pool, func(a, b int) bool { return pool[a].hits > pool[b].hits })
 
-	// Phase 2+3: mutate and accumulate.
-	counts := make(map[netlist.GateID]int, len(nodes))
+	// Phase 1: score the pool and sort it, best first, ties in draw
+	// order.
+	score := make([]int, len(pool))
+	for base := 0; base < len(pool); base += batch {
+		if err := batchStart(); err != nil {
+			return nil, err
+		}
+		m := l.load(pool[base:])
+		p.Run()
+		l.count()
+		for i := range m {
+			score[base+i] = l.lane(i)
+		}
+	}
+	order := make([]int, len(pool))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return score[order[a]] > score[order[b]] })
+	sorted := make([][]bool, len(pool))
+	for i, j := range order {
+		sorted[i] = pool[j]
+	}
+
+	// Phases 2 and 3, a batch at a time: climb every lane, then fold
+	// the climbed vectors into the profile in pool order. The batch
+	// that satisfies the last node is climbed in full; its later lanes
+	// are dropped.
+	counts := make([]int, len(nodes)) // by rare-set position
+	at := make([]uint64, len(nodes))  // node k at its rare value, per lane of one word
 	satisfied := 0
-	need := len(nodes)
-	done := func() bool { return satisfied >= need }
-
-	ctxDone := ctx.Done()
-	for _, cand := range pool {
-		if done() {
-			break
-		}
-		select {
-		case <-ctxDone:
-			return ts, ctx.Err()
-		default:
-		}
-		if err := chaos.Hit(stage.MERO, 0); err != nil {
+	for base := 0; base < len(sorted) && satisfied < len(nodes); base += batch {
+		if err := batchStart(); err != nil {
 			return ts, err
 		}
-		v := cand.v
-		apply(v)
-		rescanHits()
-		best := hits
-		// Per-bit greedy mutation (incremental hit updates per flip).
-		for j, id := range inputs {
-			var b uint8
-			if !v[j] {
-				b = 1
-			}
-			ev.SetInput(id, b)
-			ev.Propagate()
-			updateHits()
-			if hits > best {
-				best = hits
-				v[j] = !v[j]
-			} else {
-				ev.SetInput(id, b^1)
-				ev.Propagate()
-				updateHits()
-			}
+		m := l.load(sorted[base:])
+		if err := l.climb(ctx); err != nil {
+			return ts, err
 		}
-		// Does the mutated vector improve the cumulative profile?
-		apply(v)
-		improves := false
-		for _, node := range nodes {
-			if ev.Val(node.ID) == node.RareValue && counts[node.ID] < cfg.N {
-				improves = true
-				break
-			}
-		}
-		if !improves {
-			continue
-		}
-		for _, node := range nodes {
-			if ev.Val(node.ID) == node.RareValue {
-				counts[node.ID]++
-				if counts[node.ID] == cfg.N {
-					satisfied++
+		p.Run()
+		for i := 0; i < m && satisfied < len(nodes); i++ {
+			s := uint(i % 64)
+			if s == 0 {
+				for k := range at {
+					at[k] = l.atRare(k, i/64)
 				}
 			}
+			improves := false
+			for k, a := range at {
+				if a>>s&1 != 0 && counts[k] < cfg.N {
+					improves = true
+					break
+				}
+			}
+			if !improves {
+				continue
+			}
+			for k, a := range at {
+				if a>>s&1 != 0 {
+					if counts[k]++; counts[k] == cfg.N {
+						satisfied++
+					}
+				}
+			}
+			ts.Vectors = append(ts.Vectors, l.vector(i))
 		}
-		ts.Add(v)
 	}
 	met.meroVectors.Add(int64(ts.Len()))
 	return ts, nil
 }
 
-// meroScoreWords is the packed batch size for pool scoring: 32 words =
-// 2048 vectors per Run, enough room for worker sharding.
-const meroScoreWords = 32
+// meroWords is the engine width: 32 words = 2048 pool vectors per Run.
+// A smaller pool gets a narrower engine.
+const meroWords = 32
 
-// scorePool counts, for every vector, how many rare nodes it drives to
-// their rare values, simulating 2048-vector batches on one pooled
-// engine. The counts are exactly those the event-driven scorer produced
-// (same vectors, same semantics), just 64 per word instead of one per
-// propagation.
-func scorePool(ctx context.Context, n *netlist.Netlist, nodes []rare.Node, inputs []netlist.GateID, vecs [][]bool, workers int) ([]int, error) {
-	hits := make([]int, len(vecs))
-	p, err := sim.AcquirePacked(n, meroScoreWords)
-	if err != nil {
-		return nil, err
+// lanes drives MERO's engine with one pool vector per pattern lane. A
+// bit-sliced counter holds each lane's number of rare nodes at their
+// rare value: bit i of plane b in word w is bit b of lane 64w+i's count.
+type lanes struct {
+	p      *sim.Packed
+	inputs []netlist.GateID
+	nodes  []rare.Node
+	planes int      // bits.Len(len(nodes)), room for any count
+	cur    []uint64 // word w, plane b -> cur[w*planes+b]: the last count
+	best   []uint64 // same layout: each lane's best count so far
+}
+
+func newLanes(p *sim.Packed, inputs []netlist.GateID, nodes []rare.Node) *lanes {
+	planes := bits.Len(uint(len(nodes)))
+	return &lanes{
+		p:      p,
+		inputs: inputs,
+		nodes:  nodes,
+		planes: planes,
+		cur:    make([]uint64, p.Words()*planes),
+		best:   make([]uint64, p.Words()*planes),
 	}
-	defer sim.ReleasePacked(p)
-	p.SetWorkers(workers)
-	p.SetRegistry(obs.FromContext(ctx))
-	batch := 64 * meroScoreWords
-	ctxDone := ctx.Done()
-	for base := 0; base < len(vecs); base += batch {
-		select {
-		case <-ctxDone:
-			return nil, ctx.Err()
-		default:
-		}
-		if err := chaos.Hit(stage.MERO, 0); err != nil {
-			return nil, err
-		}
-		count := len(vecs) - base
-		if count > batch {
-			count = batch
-		}
-		for j, id := range inputs {
-			for w := 0; w*64 < count; w++ {
-				var word uint64
-				lim := count - w*64
-				if lim > 64 {
-					lim = 64
-				}
-				for b := 0; b < lim; b++ {
-					if vecs[base+w*64+b][j] {
-						word |= 1 << uint(b)
-					}
-				}
-				p.SetWord(id, w, word)
-			}
-		}
-		p.Run()
-		for _, node := range nodes {
-			for w := 0; w*64 < count; w++ {
-				word := p.Word(node.ID, w)
-				if node.RareValue == 0 {
-					word = ^word
-				}
-				if lim := count - w*64; lim < 64 {
-					word &= (uint64(1) << uint(lim)) - 1
-				}
-				for word != 0 {
-					hits[base+w*64+bits.TrailingZeros64(word)]++
-					word &= word - 1
+}
+
+// load packs up to Patterns() vectors into the input words, one lane
+// each, zeroing the lanes past the last one, and returns how many it
+// loaded.
+func (l *lanes) load(vecs [][]bool) int {
+	m := min(len(vecs), l.p.Patterns())
+	for j, id := range l.inputs {
+		for w := range l.p.Words() {
+			var word uint64
+			for b := w * 64; b < m && b < (w+1)*64; b++ {
+				if vecs[b][j] {
+					word |= 1 << uint(b%64)
 				}
 			}
+			l.p.SetWord(id, w, word)
 		}
 	}
-	return hits, nil
+	return m
+}
+
+// vector reads lane i's vector back out of the input words.
+func (l *lanes) vector(i int) []bool {
+	v := make([]bool, len(l.inputs))
+	for j, id := range l.inputs {
+		v[j] = l.p.Word(id, i/64)>>uint(i%64)&1 != 0
+	}
+	return v
+}
+
+// atRare returns the lanes of word w in which rare node k sits at its
+// rare value after the last Run.
+func (l *lanes) atRare(k, w int) uint64 {
+	word := l.p.Word(l.nodes[k].ID, w)
+	if l.nodes[k].RareValue == 0 {
+		return ^word
+	}
+	return word
+}
+
+// count recounts every lane after a Run, ripple-adding each rare node's
+// at-rare word into the planes. A count never exceeds len(nodes), so
+// the carry dies within the planes.
+func (l *lanes) count() {
+	clear(l.cur)
+	for k := range l.nodes {
+		for w := range l.p.Words() {
+			carry := l.atRare(k, w)
+			for b := w * l.planes; carry != 0; b++ {
+				l.cur[b], carry = l.cur[b]^carry, l.cur[b]&carry
+			}
+		}
+	}
+}
+
+// lane returns pattern i's count.
+func (l *lanes) lane(i int) int {
+	n := 0
+	for b, plane := range l.cur[i/64*l.planes:][:l.planes] {
+		n |= int(plane>>uint(i%64)&1) << b
+	}
+	return n
+}
+
+// beats returns the lanes of word w whose count exceeds their best,
+// and makes that count their best.
+func (l *lanes) beats(w int) uint64 {
+	cur, best := l.cur[w*l.planes:][:l.planes], l.best[w*l.planes:][:l.planes]
+	var gt uint64
+	eq := ^uint64(0)
+	for b := l.planes - 1; b >= 0; b-- {
+		gt |= eq & cur[b] &^ best[b]
+		eq &^= cur[b] ^ best[b]
+	}
+	for b := range best {
+		best[b] = best[b]&^gt | cur[b]&gt
+	}
+	return gt
+}
+
+// climb runs MERO's step 2 on every loaded lane at once: each input is
+// flipped on all lanes, and a lane keeps the flip only if its count
+// beats its best, which starts at its pool score. Cancellation is
+// checked before every flip.
+func (l *lanes) climb(ctx context.Context) error {
+	l.p.Run()
+	l.count()
+	copy(l.best, l.cur)
+	for _, id := range l.inputs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for w := range l.p.Words() {
+			l.p.SetWord(id, w, ^l.p.Word(id, w))
+		}
+		l.p.Run()
+		l.count()
+		for w := range l.p.Words() {
+			l.p.SetWord(id, w, l.p.Word(id, w)^^l.beats(w))
+		}
+	}
+	return nil
 }

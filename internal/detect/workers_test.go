@@ -20,8 +20,9 @@ func sameTestSet(t *testing.T, label string, a, b *TestSet) {
 	}
 }
 
-// TestMEROWorkersIdentical checks the pool-scoring parallelism does not
-// change the emitted compact test set.
+// TestMEROWorkersIdentical checks the engine's worker sharding, which
+// runs both the pool scoring and the climb, does not change the emitted
+// compact test set.
 func TestMEROWorkersIdentical(t *testing.T) {
 	tgt, rs, _, _ := fixture(t, 21)
 	cfg := MEROConfig{N: 4, RandomVectors: 600, Seed: 9, Workers: 1}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"cghti/internal/detect"
 	"cghti/internal/netlist"
 	"cghti/internal/rare"
 )
@@ -249,5 +250,26 @@ func TestCapRareSet(t *testing.T) {
 	}
 	if got := capRareSet(rs, 100); got != rs {
 		t.Fatal("cap above size should be a no-op")
+	}
+}
+
+// BenchmarkMEROPaper times MERO at Table II's -full settings on s1423:
+// rare nodes from |V| = 10 000 at θ 0.2 (seed 1), the 1 500 rarest kept,
+// then N = 1 000 over a 100 000-vector pool (seed 3).
+func BenchmarkMEROPaper(b *testing.B) {
+	n, err := loadCircuit("s1423")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs, err := rare.Extract(n, rare.Config{Vectors: rare.DefaultVectors, Threshold: rare.DefaultThreshold, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs = capRareSet(rs, 1500)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := detect.MERO(n, rs, detect.MEROConfig{N: 1000, RandomVectors: 100000, Seed: 3}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -91,9 +91,8 @@ func (s *Simulator) Patterns() int { return 64 * s.words }
 
 // Fork returns a simulator that shares this one's good-circuit image
 // (read-only) but owns its own faulty-image and fanout scratch, so
-// DetectMask can run concurrently on the parent and all forks. Forks
-// must not call SetInputs; reload patterns on the parent only, while no
-// fork is simulating.
+// DetectMask can run concurrently on the parent and all forks. Load
+// patterns on the parent only, while no fork is simulating.
 func (s *Simulator) Fork() *Simulator {
 	return &Simulator{
 		n:     s.n,
@@ -106,42 +105,12 @@ func (s *Simulator) Fork() *Simulator {
 	}
 }
 
-// SetInputs loads up to Patterns() vectors (each one bool per
-// combinational input, CombInputs order) and simulates the good
-// circuit. It returns the number of patterns loaded.
-func (s *Simulator) SetInputs(vectors [][]bool) int {
-	inputs := s.n.CombInputs()
-	count := len(vectors)
-	if count > s.Patterns() {
-		count = s.Patterns()
-	}
-	for j, id := range inputs {
-		base := int(id) * s.words
-		for w := 0; w < s.words; w++ {
-			s.good[base+w] = 0
-		}
-		for p := 0; p < count; p++ {
-			if vectors[p][j] {
-				s.good[base+p/64] |= 1 << uint(p%64)
-			}
-		}
-	}
-	s.evalGood()
-	return count
-}
-
-func (s *Simulator) evalGood() {
-	evalImage(s.n, s.topo, s.words, s.good, nil)
-}
-
-// setInputsPacked is SetInputs with the good-circuit image computed on
-// the packed engine p (compiled for s's netlist, s.words wide) instead
-// of the local evalImage walk. Input words beyond the loaded count are
-// zeroed exactly as SetInputs zeroes them, and the packed kernels
-// compute the same two-valued logic evalImage computes, so the image —
-// and every DetectMask derived from it — is byte-identical to
-// SetInputs.
-func (s *Simulator) setInputsPacked(p *sim.Packed, vectors [][]bool) int {
+// setInputs loads up to Patterns() vectors (each one bool per
+// combinational input, CombInputs order), zeroing the input words past
+// the last one, simulates the good circuit on the packed engine p
+// (compiled for s's netlist, s.words wide) and copies its image. It
+// returns the number of patterns loaded.
+func (s *Simulator) setInputs(p *sim.Packed, vectors [][]bool) int {
 	inputs := s.n.CombInputs()
 	count := len(vectors)
 	if count > s.Patterns() {
@@ -208,9 +177,7 @@ func (s *Simulator) DetectMask(f Fault) []uint64 {
 	for w := 0; w < W; w++ {
 		s.bad[base+w] = fill
 	}
-	evalImage(n, s.topo, W, s.bad, func(id netlist.GateID) bool {
-		return s.inTFO[id] && id != f.Site
-	})
+	s.evalCone(f.Site)
 
 	mask := make([]uint64, W)
 	for _, out := range s.outs {
@@ -222,27 +189,20 @@ func (s *Simulator) DetectMask(f Fault) []uint64 {
 	return mask
 }
 
-// evalImage evaluates gates in topological order into vals. If filter is
-// non-nil, only gates for which it returns true are re-evaluated (their
-// fanins read whatever vals already holds).
-func evalImage(n *netlist.Netlist, topo []netlist.GateID, W int, vals []uint64, filter func(netlist.GateID) bool) {
-	for _, id := range topo {
-		if filter != nil && !filter(id) {
+// evalCone re-evaluates, in topological order, the gates of the
+// faulty image strictly downstream of site (marked in inTFO); their
+// fanins read whatever the image already holds. Such gates are never
+// sources: the fanout walk stops at DFFs, and inputs and constants
+// have no fanin.
+func (s *Simulator) evalCone(site netlist.GateID) {
+	n, W, vals := s.n, s.words, s.bad
+	for _, id := range s.topo {
+		if !s.inTFO[id] || id == site {
 			continue
 		}
 		g := &n.Gates[id]
 		base := int(id) * W
 		switch g.Type {
-		case netlist.Input, netlist.DFF:
-			// state, already loaded
-		case netlist.Const0:
-			for w := 0; w < W; w++ {
-				vals[base+w] = 0
-			}
-		case netlist.Const1:
-			for w := 0; w < W; w++ {
-				vals[base+w] = ^uint64(0)
-			}
 		case netlist.Buf:
 			src := int(g.Fanin[0]) * W
 			copy(vals[base:base+W], vals[src:src+W])
@@ -379,7 +339,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, vectors [][]bool, fault
 			if hi > len(vectors) {
 				hi = len(vectors)
 			}
-			count := s.setInputsPacked(good, vectors[base:hi])
+			count := s.setInputs(good, vectors[base:hi])
 			if workers == 1 || len(remaining) < 2 {
 				for i, f := range remaining {
 					firsts[i] = firstSetBit(s.DetectMask(f), count)

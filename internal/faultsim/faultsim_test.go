@@ -159,8 +159,13 @@ func TestDetectMaskMatchesScalarReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		good, err := sim.AcquirePacked(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		vectors := randomVectors(n, 64, int64(trial))
-		s.SetInputs(vectors)
+		s.setInputs(good, vectors)
+		sim.ReleasePacked(good)
 		inputs := n.CombInputs()
 		outs := n.CombOutputs()
 		faults := FullFaultList(n)

@@ -193,6 +193,24 @@ type DetectResult struct {
 	RareNodes    int    `json:"rare_nodes,omitempty"`
 }
 
+// validate rejects out-of-range parameters at submit time, naming the
+// field; zero keeps meaning "default".
+func (r DetectRequest) validate() error {
+	if r.Theta < 0 || r.Theta >= 1 {
+		return fmt.Errorf("theta %v must be a fraction in [0, 1)", r.Theta)
+	}
+	if r.Activation != nil && *r.Activation != 0 && *r.Activation != 1 {
+		return fmt.Errorf("activation %d must be 0 or 1", *r.Activation)
+	}
+	names := [...]string{"patterns", "n", "pool", "vectors"}
+	for i, v := range [...]int{r.Patterns, r.N, r.Pool, r.Vectors} {
+		if v < 0 {
+			return fmt.Errorf("%s %d must not be negative", names[i], v)
+		}
+	}
+	return nil
+}
+
 // detectJob validates the request and returns the run closure plus the
 // golden netlist's content fingerprint (the fleet's sharding key, like
 // generateJob's). Detect phases are coarser than the generate
@@ -200,6 +218,9 @@ type DetectResult struct {
 // into the sink (rare extraction, then the scheme run) — the SSE stream
 // shows the same shape either way.
 func (s *Server) detectJob(req DetectRequest) (runFunc, artifact.Fingerprint, error) {
+	if err := req.validate(); err != nil {
+		return nil, artifact.Fingerprint{}, err
+	}
 	golden, err := cghti.ParseBenchString(req.Golden, "golden")
 	if err != nil {
 		return nil, artifact.Fingerprint{}, fmt.Errorf("golden: %w", err)
@@ -223,7 +244,7 @@ func (s *Server) detectJob(req DetectRequest) (runFunc, artifact.Fingerprint, er
 	}
 	activation := uint8(1)
 	if req.Activation != nil {
-		activation = uint8(*req.Activation & 1)
+		activation = uint8(*req.Activation)
 	}
 	patterns := req.Patterns
 	if patterns <= 0 {

@@ -185,8 +185,15 @@ func TestSubmitValidation(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// c17Detect is a well-formed c17 detect request with one edit.
+	c17 := benchText(t, "c17")
+	c17Detect := func(edit func(*DetectRequest)) DetectRequest {
+		r := DetectRequest{Golden: c17, Infected: c17, Trigger: "22"}
+		edit(&r)
+		return r
+	}
 	// A netlist the parser rejects is answered with the parser's own
-	// message.
+	// message; an out-of-range detect parameter names its field.
 	cases := []struct {
 		name    string
 		body    any
@@ -211,6 +218,20 @@ func TestSubmitValidation(t *testing.T) {
 			Infected: benchText(t, "c17"),
 			Trigger:  "no_such_net",
 		}, ""},
+		{"detect theta 1.5", c17Detect(func(r *DetectRequest) { r.Scheme, r.Theta = "mero", 1.5 }),
+			"theta 1.5 must be a fraction in [0, 1)"},
+		{"detect theta -0.5", c17Detect(func(r *DetectRequest) { r.Scheme, r.Theta = "mero", -0.5 }),
+			"theta -0.5 must be a fraction in [0, 1)"},
+		{"detect activation 2", c17Detect(func(r *DetectRequest) { a := 2; r.Activation = &a }),
+			"activation 2 must be 0 or 1"},
+		{"detect negative patterns", c17Detect(func(r *DetectRequest) { r.Patterns = -1 }),
+			"patterns -1 must not be negative"},
+		{"detect negative n", c17Detect(func(r *DetectRequest) { r.Scheme, r.N = "ndatpg", -2 }),
+			"n -2 must not be negative"},
+		{"detect negative pool", c17Detect(func(r *DetectRequest) { r.Scheme, r.Pool = "mero", -3 }),
+			"pool -3 must not be negative"},
+		{"detect negative vectors", c17Detect(func(r *DetectRequest) { r.Scheme, r.Vectors = "mero", -4 }),
+			"vectors -4 must not be negative"},
 	}
 	for _, tc := range cases {
 		path := "/v1/generate"

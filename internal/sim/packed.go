@@ -1,6 +1,6 @@
 // Package sim provides the logic simulators that back rare-node
-// extraction (Algorithm 1), trigger-cube proving, detection evaluation
-// and MERO:
+// extraction (Algorithm 1), trigger-cube proving, detection evaluation,
+// MERO and fault simulation:
 //
 //   - Packed: 64-way bit-parallel two-valued simulation (one pattern per
 //     bit of a machine word), the workhorse for the 10,000-vector
@@ -14,14 +14,12 @@
 //     batch is too narrow to shard — bit-identical either way;
 //   - Eval: a scalar reference evaluator, used by tests to pin Packed;
 //   - three-valued (0/1/X) cube simulation in threeval.go, used to prove
-//     that a merged trigger cube excites every clique member;
-//   - an event-driven incremental simulator in event.go, used by MERO's
-//     bit-flip inner loop.
+//     that a merged trigger cube excites every clique member.
 //
-// Callers that simulate in rounds (rare extraction, MERO scoring,
-// detection sampling, fault simulation's good image) should recycle
-// engines through AcquirePacked / ReleasePacked (pool.go) instead of
-// rebuilding the per-gate word arrays every round.
+// Callers that simulate in rounds (rare extraction, MERO's pool scoring
+// and lock-step climb, detection sampling, fault simulation's good
+// image) should recycle engines through AcquirePacked / ReleasePacked
+// (pool.go) instead of rebuilding the per-gate word arrays every round.
 package sim
 
 import (
@@ -44,7 +42,6 @@ type meters struct {
 	packedVectors *obs.Counter
 	packedShards  *obs.Counter
 	levelRuns     *obs.Counter
-	eventProps    *obs.Counter
 	runTime       *obs.Histogram
 }
 
@@ -61,7 +58,6 @@ func newMeters(r *obs.Registry) *meters {
 		packedVectors: r.Counter("sim.packed_vectors"),
 		packedShards:  r.Counter("sim.packed_shards"),
 		levelRuns:     r.Counter("sim.level_parallel_runs"),
-		eventProps:    r.Counter("sim.event_propagations"),
 		runTime:       r.Histogram("sim.packed_run_time"),
 	}
 }

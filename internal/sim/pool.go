@@ -10,7 +10,7 @@ import (
 
 // Engine pooling. Building a Packed costs a topological sort, a program
 // compile (or a registry hit) and a len(gates)*words word array; callers
-// that simulate in rounds (rare extraction batches, MERO pool scoring,
+// that simulate in rounds (rare extraction batches, MERO's pool batches,
 // the per-target loop of detection evaluation) would otherwise pay that
 // on every round. AcquirePacked recycles engines per (netlist, words)
 // pair.

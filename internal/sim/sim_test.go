@@ -425,120 +425,8 @@ func TestEval3Monotone(t *testing.T) {
 	}
 }
 
-func TestEventMatchesPacked(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := randomNetlist(rng, 6, 80)
-	ev, err := NewEvent(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Apply 50 random vectors; after each, compare every gate against a
-	// fresh scalar evaluation.
-	for v := 0; v < 50; v++ {
-		in := map[netlist.GateID]uint8{}
-		for _, id := range n.CombInputs() {
-			val := uint8(rng.Intn(2))
-			in[id] = val
-			ev.SetInput(id, val)
-		}
-		ev.Propagate()
-		want, err := Eval(n, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for g := range n.Gates {
-			if ev.Val(netlist.GateID(g)) != want[g] {
-				t.Fatalf("vector %d gate %s: event %d, scalar %d",
-					v, n.Gates[g].Name, ev.Val(netlist.GateID(g)), want[g])
-			}
-		}
-	}
-}
-
-func TestEventSingleBitFlip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := randomNetlist(rng, 8, 60)
-	ev, err := NewEvent(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := map[netlist.GateID]uint8{}
-	for _, id := range n.CombInputs() {
-		v := uint8(rng.Intn(2))
-		in[id] = v
-		ev.SetInput(id, v)
-	}
-	ev.Propagate()
-	// Flip each input individually and verify against scalar sim.
-	for _, id := range n.CombInputs() {
-		in[id] ^= 1
-		ev.SetInput(id, in[id])
-		ev.Propagate()
-		want, err := Eval(n, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for g := range n.Gates {
-			if ev.Val(netlist.GateID(g)) != want[g] {
-				t.Fatalf("after flip of %s, gate %s mismatch",
-					n.Gates[id].Name, n.Gates[g].Name)
-			}
-		}
-	}
-}
-
-func TestEventRedundantSetIsNoop(t *testing.T) {
-	n := mkC17(t)
-	ev, err := NewEvent(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.SetInput(n.PIs[0], 0) // already 0
-	if got := ev.Propagate(); got != 0 {
-		t.Fatalf("Propagate after redundant set changed %d gates", got)
-	}
-}
-
 func TestV3String(t *testing.T) {
 	if V3Zero.String() != "0" || V3One.String() != "1" || V3X.String() != "X" {
 		t.Fatal("V3 String broken")
-	}
-}
-
-func TestEventChangedList(t *testing.T) {
-	n := mkC17(t)
-	ev, err := NewEvent(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All inputs 0 initially. Set input "1" to 1: gate 10=NAND(1,3)
-	// stays 1 (3 is 0), so only the input should appear.
-	ev.SetInput(n.MustLookup("1"), 1)
-	ev.Propagate()
-	changed := ev.Changed()
-	if len(changed) != 1 || changed[0] != n.MustLookup("1") {
-		t.Fatalf("changed = %v, want just input 1", changed)
-	}
-	// Now set "3" to 1: NAND(1,3) flips 1->0, 11=NAND(3,6) stays 1,
-	// 16=NAND(2,11) stays, 22=NAND(10,16) flips 1->... verify against a
-	// full snapshot diff instead of reasoning through the cone.
-	before := append([]uint8(nil), ev.Values()...)
-	ev.SetInput(n.MustLookup("3"), 1)
-	ev.Propagate()
-	changedSet := map[netlist.GateID]bool{}
-	for _, id := range ev.Changed() {
-		changedSet[id] = true
-	}
-	for g := range n.Gates {
-		id := netlist.GateID(g)
-		if (before[g] != ev.Val(id)) != changedSet[id] {
-			t.Fatalf("gate %s: diff=%v but changed-list says %v",
-				n.Gates[g].Name, before[g] != ev.Val(id), changedSet[id])
-		}
-	}
-	// No pending events: Propagate reports nothing.
-	ev.Propagate()
-	if len(ev.Changed()) != 0 {
-		t.Fatal("idle Propagate reported changes")
 	}
 }
