@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt test race fuzz modcheck deadpkg smoke scalesmoke recoversmoke fleetsmoke perfbenchtest benchall
+.PHONY: ci build vet fmt test race fuzz modcheck deadpkg smoke scalesmoke recoversmoke fleetsmoke perfbenchtest benchall loc
 
 ci: build vet fmt modcheck deadpkg race fuzz smoke scalesmoke recoversmoke fleetsmoke perfbenchtest
 
@@ -107,3 +107,9 @@ perfbenchtest:
 # BENCHMARK.json): bash perfbench/run.sh --workload W.
 benchall:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
+
+# Lines of non-test Go outside perfbench (hidden directories such as
+# .git and .bench_build skipped): the size figure CHANGES.md quotes for
+# each change. Not part of ci.
+loc:
+	@find . -path './.*' -prune -o -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l

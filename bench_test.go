@@ -401,19 +401,10 @@ func BenchmarkAblationCliqueMiner(b *testing.B) {
 // (512 vectors over the full fault list of a c880-class circuit).
 func BenchmarkFaultSim(b *testing.B) {
 	n := benchCircuit(b)
-	rng := rand.New(rand.NewSource(1))
-	inputs := n.CombInputs()
-	vectors := make([][]bool, 512)
-	for i := range vectors {
-		v := make([]bool, len(inputs))
-		for j := range v {
-			v[j] = rng.Intn(2) == 1
-		}
-		vectors[i] = v
-	}
+	ts := detect.RandomTestSet(n, 512, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := faultsim.Run(n, vectors, nil); err != nil {
+		if _, err := faultsim.Run(n, ts, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,17 +39,20 @@ var goldenDetectDigests = map[string]string{
 	"s1423/faultsim":       "6ede7ca8d72a43eedb334cde0f8d439e41b5bf8a06a242d9f8dd5e28f4a0e6b6",
 }
 
-// hashVector feeds one test vector into h as a 0/1 string.
-func hashVector(h hash.Hash, v []bool) {
-	b := make([]byte, len(v)+1)
-	for i, x := range v {
-		b[i] = '0'
-		if x {
-			b[i] = '1'
+// hashSet feeds every vector of ts into h, each as a 0/1 line.
+func hashSet(h hash.Hash, ts *detect.TestSet) {
+	for i := range ts.Len() {
+		v := ts.Vector(i)
+		b := make([]byte, len(v)+1)
+		for j, x := range v {
+			b[j] = '0'
+			if x {
+				b[j] = '1'
+			}
 		}
+		b[len(v)] = '\n'
+		h.Write(b)
 	}
-	b[len(v)] = '\n'
-	h.Write(b)
 }
 
 func checkDetectDigest(t *testing.T, key string, workers int, h hash.Hash) {
@@ -81,21 +84,25 @@ func TestDetectDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 			golden := res.Base
-			random := detect.RandomTestSet(golden, 1500, 3)
+			drawn := detect.RandomTestSet(golden, 1500, 3)
 			pos := make(map[GateID]int, len(res.Graph.InputIDs))
 			for p, id := range res.Graph.InputIDs {
 				pos[id] = p
 			}
-			for i, b := range res.Benchmarks {
-				v := random.Vectors[600+200*i]
-				for j, id := range random.Inputs {
-					switch b.Clique.Cube.Get(pos[id]) {
-					case sim.V3One:
-						v[j] = true
-					case sim.V3Zero:
-						v[j] = false
+			random := &detect.TestSet{Inputs: drawn.Inputs}
+			for k := range drawn.Len() {
+				v := drawn.Vector(k)
+				if i := (k - 600) / 200; k >= 600 && k%200 == 0 && i < len(res.Benchmarks) {
+					for j, id := range drawn.Inputs {
+						switch res.Benchmarks[i].Clique.Cube.Get(pos[id]) {
+						case sim.V3One:
+							v[j] = true
+						case sim.V3Zero:
+							v[j] = false
+						}
 					}
 				}
+				random.Add(v)
 			}
 			for _, workers := range []int{1, 2} {
 				mero, err := detect.MEROContext(ctx, golden, res.RareSet,
@@ -104,9 +111,7 @@ func TestDetectDigests(t *testing.T) {
 					t.Fatal(err)
 				}
 				hv := sha256.New()
-				for _, v := range mero.Vectors {
-					hashVector(hv, v)
-				}
+				hashSet(hv, mero)
 				checkDetectDigest(t, name+"/mero_vectors", workers, hv)
 
 				nd, err := detect.NDATPGContext(ctx, golden, res.RareSet,
@@ -115,9 +120,7 @@ func TestDetectDigests(t *testing.T) {
 					t.Fatal(err)
 				}
 				hn := sha256.New()
-				for _, v := range nd.Vectors {
-					hashVector(hn, v)
-				}
+				hashSet(hn, nd)
 				checkDetectDigest(t, name+"/ndatpg_vectors", workers, hn)
 
 				hr, hm := sha256.New(), sha256.New()
@@ -137,7 +140,7 @@ func TestDetectDigests(t *testing.T) {
 				checkDetectDigest(t, name+"/random", workers, hr)
 				checkDetectDigest(t, name+"/mero", workers, hm)
 
-				cov, err := faultsim.RunWorkers(golden, random.Vectors, nil, workers)
+				cov, err := faultsim.RunWorkers(golden, random, nil, workers)
 				if err != nil {
 					t.Fatal(err)
 				}

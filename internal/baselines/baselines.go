@@ -63,10 +63,11 @@ type Stats struct {
 // simulated, and whether it succeeded.
 func validateSubset(n *netlist.Netlist, subset []rare.Node, maxVectors int, rng *rand.Rand) ([]bool, int64, bool) {
 	const words = 8
-	p, err := sim.NewPacked(n, words)
+	p, err := sim.AcquirePacked(n, words)
 	if err != nil {
 		return nil, 0, false
 	}
+	defer sim.ReleasePacked(p)
 	inputs := n.CombInputs()
 	var simulated int64
 	for simulated < int64(maxVectors) {

@@ -334,3 +334,27 @@ func TestRandomInsertNoValidationTooFewNodes(t *testing.T) {
 	}
 	_ = n
 }
+
+// TestBaselinesReleaseEngines runs each baseline once and requires every
+// engine it simulated on to hand back its shared-program lease: once the
+// engine pool is drained, the registry holds no more references than
+// before.
+func TestBaselinesReleaseEngines(t *testing.T) {
+	n, rs := fixture(t, 3)
+	sim.DrainPackedPool()
+	_, refs0 := sim.SharedProgramStats()
+	var ve *ValidationError
+	if _, err := RandomInsert(n, rs, RandomConfig{Q: 2, Seed: 1}); err != nil && !errors.As(err, &ve) {
+		t.Fatal(err)
+	}
+	if _, err := TrustHubLike(n, rs, TrustHubConfig{Q: 3, Seed: 4}); err != nil && !errors.As(err, &ve) {
+		t.Fatal(err)
+	}
+	if _, err := RLInsert(n, rs, RLConfig{Q: 2, Episodes: 3, Seed: 3}); err != nil && !errors.As(err, &ve) {
+		t.Fatal(err)
+	}
+	sim.DrainPackedPool()
+	if _, refs := sim.SharedProgramStats(); refs != refs0 {
+		t.Fatalf("%d shared-program references after the baselines, want %d", refs, refs0)
+	}
+}

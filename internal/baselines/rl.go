@@ -119,10 +119,11 @@ func RLInsert(n *netlist.Netlist, rs *rare.Set, cfg RLConfig) (*Result, error) {
 	var bestVec []bool
 	bestReward := -1.0
 
-	p, err := sim.NewPacked(n, 8)
+	p, err := sim.AcquirePacked(n, 8)
 	if err != nil {
 		return nil, err
 	}
+	defer sim.ReleasePacked(p)
 
 	for ep := 0; ep < cfg.Episodes; ep++ {
 		stats.Episodes++

@@ -51,20 +51,119 @@ func newMeters(r *obs.Registry) *meters {
 var defaultMeters = newMeters(obs.Default())
 
 // TestSet is an ordered list of fully specified test vectors over a
-// circuit's combinational inputs (CombInputs order).
+// circuit's combinational inputs (CombInputs order). It is stored the
+// way the bit-parallel engines read it, one column of words per input:
+// bit i of word w in column j is input j of vector 64w+i. Bits past
+// Len() are zero.
 type TestSet struct {
 	// Inputs is the coordinate system (golden netlist CombInputs).
 	Inputs []netlist.GateID
-	// Vectors holds one bool per input per vector.
-	Vectors [][]bool
+	cols   [][]uint64 // one per input, (Len()+63)/64 words each
+	n      int
+}
+
+// newTestSet returns a set of count all-zero vectors over inputs, its
+// columns cut from one slab.
+func newTestSet(inputs []netlist.GateID, count int) *TestSet {
+	words := (count + 63) / 64
+	slab := make([]uint64, len(inputs)*words)
+	ts := &TestSet{Inputs: inputs, cols: make([][]uint64, len(inputs)), n: count}
+	for j := range ts.cols {
+		ts.cols[j] = slab[j*words : (j+1)*words : (j+1)*words]
+	}
+	return ts
 }
 
 // Len returns the number of vectors.
-func (ts *TestSet) Len() int { return len(ts.Vectors) }
+func (ts *TestSet) Len() int { return ts.n }
 
-// Add appends a vector (copied).
+// Add appends a vector, one bool per input.
 func (ts *TestSet) Add(v []bool) {
-	ts.Vectors = append(ts.Vectors, append([]bool(nil), v...))
+	w, b := ts.grow()
+	for j, x := range v {
+		if x {
+			ts.cols[j][w] |= 1 << b
+		}
+	}
+}
+
+// Vector returns vector i, one bool per input.
+func (ts *TestSet) Vector(i int) []bool {
+	v := make([]bool, len(ts.cols))
+	for j := range v {
+		v[j] = ts.bit(j, i) != 0
+	}
+	return v
+}
+
+// bit returns input j of vector i as 0 or 1.
+func (ts *TestSet) bit(j, i int) uint64 { return ts.cols[j][i/64] >> uint(i%64) & 1 }
+
+// grow appends an all-zero vector and returns its word and bit.
+func (ts *TestSet) grow() (int, uint) {
+	if ts.cols == nil {
+		ts.cols = make([][]uint64, len(ts.Inputs))
+	}
+	w, b := ts.n/64, uint(ts.n%64)
+	if b == 0 {
+		for j := range ts.cols {
+			ts.cols[j] = append(ts.cols[j], 0)
+		}
+	}
+	ts.n++
+	return w, b
+}
+
+// addLane appends the vector held in pattern lane i of p's input words.
+func (ts *TestSet) addLane(p *sim.Packed, i int) {
+	w, b := ts.grow()
+	for j, id := range ts.Inputs {
+		ts.cols[j][w] |= p.Word(id, i/64) >> uint(i%64) & 1 << b
+	}
+}
+
+// permute returns the set whose vector i is this set's vector order[i].
+func (ts *TestSet) permute(order []int) *TestSet {
+	out := newTestSet(ts.Inputs, len(order))
+	for j, col := range out.cols {
+		for i, k := range order {
+			col[i/64] |= ts.bit(j, k) << uint(i%64)
+		}
+	}
+	return out
+}
+
+// Load copies the vectors from base (a multiple of 64) on into p's
+// input words, one per pattern lane, zeroes the lanes past the set's
+// end and returns how many vectors it loaded. Every engine a set drives
+// is loaded through it.
+func (ts *TestSet) Load(p *sim.Packed, base int) int {
+	for j, id := range ts.Inputs {
+		for w := range p.Words() {
+			var word uint64
+			if k := base/64 + w; 64*k < ts.n {
+				word = ts.cols[j][k]
+			}
+			p.SetWord(id, w, word)
+		}
+	}
+	return min(ts.n-base, p.Patterns())
+}
+
+// drawTestSet draws count uniform vectors over inputs from seed, vector
+// by vector, one rng.Intn(2) per input: the Random scheme and MERO's
+// pool share this stream. rng.Intn(2) is (Int63()>>32)&1, so the draw
+// reads the source directly and writes each bit into its column.
+func drawTestSet(inputs []netlist.GateID, count int, seed int64) *TestSet {
+	ts := newTestSet(inputs, max(count, 0))
+	src := rand.NewSource(seed)
+	for i := range ts.n {
+		w, b := i/64, uint(i%64)
+		for _, col := range ts.cols {
+			col[w] |= uint64(src.Int63()>>32&1) << b
+		}
+	}
+	return ts
 }
 
 // RandomTestSet draws count uniform vectors — the paper's "Random"
@@ -77,18 +176,8 @@ func RandomTestSet(n *netlist.Netlist, count int, seed int64) *TestSet {
 // the registry carried by ctx (per-run scoping); the draw itself is
 // pure and uninterruptible.
 func RandomTestSetContext(ctx context.Context, n *netlist.Netlist, count int, seed int64) *TestSet {
-	rng := rand.New(rand.NewSource(seed))
-	inputs := n.CombInputs()
-	ts := &TestSet{Inputs: inputs}
-	for i := 0; i < count; i++ {
-		v := make([]bool, len(inputs))
-		for j := range v {
-			v[j] = rng.Intn(2) == 1
-		}
-		ts.Vectors = append(ts.Vectors, v)
-	}
 	metersCtx(ctx).randomVectors.Add(int64(count))
-	return ts
+	return drawTestSet(n.CombInputs(), count, seed)
 }
 
 // Target couples a golden netlist with one HT-infected netlist for
@@ -122,11 +211,10 @@ type EvalConfig struct {
 	// serial, 0 = GOMAXPROCS). The outcome is bit-identical for any
 	// worker count.
 	Workers int
-	// BatchWords is the per-batch word count (64 patterns per word);
-	// 8 words = 512 vectors per batch if 0. FirstDetect scans outputs
-	// batch-by-batch, so keep the batch size fixed when comparing runs.
-	BatchWords int
 }
+
+// evalWords is Evaluate's batch width: 8 words, 512 vectors per Run.
+const evalWords = 8
 
 // Evaluate simulates the test set on both circuits (64-wide
 // bit-parallel) and reports trigger/detection coverage. Outputs are
@@ -153,44 +241,32 @@ func EvaluateContext(ctx context.Context, tgt Target, ts *TestSet, cfg EvalConfi
 	reg := obs.FromContext(ctx)
 	metersFor(reg).evaluations.Inc()
 	out := Outcome{FirstTrigger: -1, FirstDetect: -1}
-	if len(ts.Vectors) == 0 {
+	if ts.Len() == 0 {
 		return out, nil
-	}
-	words := cfg.BatchWords
-	if words <= 0 {
-		words = 8 // 512 vectors per batch
 	}
 	goldenOuts := tgt.Golden.CombOutputs()
 	infectedOuts := tgt.Infected.CombOutputs()
-	nOuts := len(goldenOuts)
-	if len(infectedOuts) < nOuts {
+	if len(infectedOuts) < len(goldenOuts) {
 		return out, fmt.Errorf("detect: infected netlist has fewer outputs than golden")
 	}
 
-	gp, err := sim.AcquirePacked(tgt.Golden, words)
+	gp, err := sim.AcquirePacked(tgt.Golden, evalWords)
 	if err != nil {
 		return out, err
 	}
 	defer sim.ReleasePacked(gp)
 	gp.SetWorkers(cfg.Workers)
 	gp.SetRegistry(reg)
-	ip, err := sim.AcquirePacked(tgt.Infected, words)
+	ip, err := sim.AcquirePacked(tgt.Infected, evalWords)
 	if err != nil {
 		return out, err
 	}
 	defer sim.ReleasePacked(ip)
 	ip.SetWorkers(cfg.Workers)
 	ip.SetRegistry(reg)
-	// The comparison reads only the words it needs (output drivers and
-	// the trigger net), masked to the batch's live patterns, so stale
-	// words past the last vector never reach the outcome.
-	gOut := make([]uint64, nOuts*words)
-	iOut := make([]uint64, nOuts*words)
-	trig := make([]uint64, words)
 
-	batch := 64 * words
 	ctxDone := ctx.Done()
-	for base := 0; base < len(ts.Vectors); base += batch {
+	for base := 0; base < ts.Len(); base += gp.Patterns() {
 		select {
 		case <-ctxDone:
 			return out, ctx.Err()
@@ -199,82 +275,45 @@ func EvaluateContext(ctx context.Context, tgt Target, ts *TestSet, cfg EvalConfi
 		if err := chaos.Hit(stage.Evaluate, 0); err != nil {
 			return out, err
 		}
-		count := len(ts.Vectors) - base
-		if count > batch {
-			count = batch
-		}
-		cw := (count + 63) / 64 // live words this batch
-		tailMask := ^uint64(0)
-		if rem := count % 64; rem != 0 {
-			tailMask = (uint64(1) << uint(rem)) - 1
-		}
-		mask := func(w int, word uint64) uint64 {
-			if w == cw-1 {
-				return word & tailMask
-			}
-			return word
-		}
 		// Inputs load identically into both circuits: the infected
 		// netlist shares IDs with golden for all original gates.
-		for j, id := range ts.Inputs {
-			for w := 0; w < cw; w++ {
-				var word uint64
-				lim := count - w*64
-				if lim > 64 {
-					lim = 64
-				}
-				for p := 0; p < lim; p++ {
-					if ts.Vectors[base+w*64+p][j] {
-						word |= 1 << uint(p)
-					}
-				}
-				gp.SetWord(id, w, word)
-				ip.SetWord(id, w, word)
-			}
-		}
+		count := ts.Load(gp, base)
+		ts.Load(ip, base)
 		gp.Run()
 		ip.Run()
-		for k, g := range goldenOuts {
-			for w := 0; w < cw; w++ {
-				gOut[k*words+w] = mask(w, gp.Word(g, w))
+		// Word by word, all outputs at once: the first set bit of a
+		// word's firing or difference lanes is the earliest vector. The
+		// lanes past count hold the zero vector and are masked off.
+		for w := range (count + 63) / 64 {
+			live := ^uint64(0)
+			if rem := count - 64*w; rem < 64 {
+				live = 1<<uint(rem) - 1
 			}
-		}
-		for k := 0; k < nOuts; k++ {
-			i := infectedOuts[k]
-			for w := 0; w < cw; w++ {
-				iOut[k*words+w] = mask(w, ip.Word(i, w))
-			}
-		}
-		for w := 0; w < cw; w++ {
-			trig[w] = mask(w, ip.Word(tgt.TriggerOut, w))
-		}
-
-		if !out.Triggered {
-			for p := 0; p < count; p++ {
-				bit := trig[p/64]&(1<<uint(p%64)) != 0
-				if (bit && tgt.Activation == 1) || (!bit && tgt.Activation == 0) {
+			if !out.Triggered {
+				fire := ip.Word(tgt.TriggerOut, w)
+				if tgt.Activation == 0 {
+					fire = ^fire
+				} else if tgt.Activation != 1 {
+					fire = 0
+				}
+				if fire &= live; fire != 0 {
 					out.Triggered = true
-					out.FirstTrigger = base + p
-					break
+					out.FirstTrigger = base + 64*w + bits.TrailingZeros64(fire)
 				}
 			}
-		}
-		if !out.Detected {
-		scan:
-			for k := 0; k < nOuts; k++ {
-				for w := 0; w < cw; w++ {
-					diff := gOut[k*words+w] ^ iOut[k*words+w]
-					if diff == 0 {
-						continue
-					}
+			if !out.Detected {
+				var diff uint64
+				for k, g := range goldenOuts {
+					diff |= gp.Word(g, w) ^ ip.Word(infectedOuts[k], w)
+				}
+				if diff &= live; diff != 0 {
 					out.Detected = true
-					out.FirstDetect = base + w*64 + bits.TrailingZeros64(diff)
-					break scan
+					out.FirstDetect = base + 64*w + bits.TrailingZeros64(diff)
 				}
 			}
-		}
-		if out.Triggered && out.Detected {
-			break
+			if out.Triggered && out.Detected {
+				return out, nil
+			}
 		}
 	}
 	return out, nil

@@ -60,8 +60,8 @@ func TestRandomTestSetShape(t *testing.T) {
 	if len(ts.Inputs) != 5 {
 		t.Fatalf("inputs = %d, want 5", len(ts.Inputs))
 	}
-	for _, v := range ts.Vectors {
-		if len(v) != 5 {
+	for i := range ts.Len() {
+		if len(ts.Vector(i)) != 5 {
 			t.Fatal("vector width mismatch")
 		}
 	}
@@ -94,7 +94,9 @@ func TestEvaluateForcedTrigger(t *testing.T) {
 	ts := &TestSet{Inputs: g.InputIDs}
 	// A few decoys first to exercise indexing.
 	decoys := RandomTestSet(tgt.Golden, 100, 3)
-	ts.Vectors = append(ts.Vectors, decoys.Vectors...)
+	for i := range decoys.Len() {
+		ts.Add(decoys.Vector(i))
+	}
 	ts.Add(filled)
 	out, err := Evaluate(tgt, ts)
 	if err != nil {
@@ -194,7 +196,8 @@ func TestMEROCoversRareNodes(t *testing.T) {
 	}
 	// Verify the N-times excitation profile by direct simulation.
 	counts := map[netlist.GateID]int{}
-	for _, v := range ts.Vectors {
+	for i := range ts.Len() {
+		v := ts.Vector(i)
 		in := map[netlist.GateID]uint8{}
 		for i, id := range ts.Inputs {
 			if v[i] {
@@ -251,7 +254,8 @@ func TestNDATPGCoversRareEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[netlist.GateID]int{}
-	for _, v := range ts.Vectors {
+	for i := range ts.Len() {
+		v := ts.Vector(i)
 		in := map[netlist.GateID]uint8{}
 		for i, id := range ts.Inputs {
 			if v[i] {
@@ -292,8 +296,8 @@ func TestNDATPGVectorsDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, v := range ts.Vectors {
-		k := vecKey(v)
+	for i := range ts.Len() {
+		k := vecKey(ts.Vector(i))
 		if seen[k] {
 			t.Fatal("duplicate vector in ND-ATPG set")
 		}

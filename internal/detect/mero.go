@@ -3,7 +3,6 @@ package detect
 import (
 	"context"
 	"math/bits"
-	"math/rand"
 	"sort"
 
 	"cghti/internal/chaos"
@@ -70,7 +69,6 @@ func MERO(n *netlist.Netlist, rs *rare.Set, cfg MEROConfig) (*TestSet, error) {
 // cancellation during pool scoring returns a nil set.
 func MEROContext(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg MEROConfig) (*TestSet, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	inputs := n.CombInputs()
 	nodes := rs.All()
 	ts := &TestSet{Inputs: inputs}
@@ -80,15 +78,8 @@ func MEROContext(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg MERO
 
 	met := metersCtx(ctx)
 	met.meroPoolVectors.Add(int64(cfg.RandomVectors))
-	pool := make([][]bool, cfg.RandomVectors)
-	for i := range pool {
-		v := make([]bool, len(inputs))
-		for j := range v {
-			v[j] = rng.Intn(2) == 1
-		}
-		pool[i] = v
-	}
-	p, err := sim.AcquirePacked(n, min(meroWords, (len(pool)+63)/64))
+	pool := drawTestSet(inputs, cfg.RandomVectors, cfg.Seed)
+	p, err := sim.AcquirePacked(n, min(meroWords, (pool.Len()+63)/64))
 	if err != nil {
 		return nil, err
 	}
@@ -106,27 +97,24 @@ func MEROContext(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg MERO
 
 	// Phase 1: score the pool and sort it, best first, ties in draw
 	// order.
-	score := make([]int, len(pool))
-	for base := 0; base < len(pool); base += batch {
+	score := make([]int, pool.Len())
+	for base := 0; base < pool.Len(); base += batch {
 		if err := batchStart(); err != nil {
 			return nil, err
 		}
-		m := l.load(pool[base:])
+		m := pool.Load(p, base)
 		p.Run()
 		l.count()
 		for i := range m {
 			score[base+i] = l.lane(i)
 		}
 	}
-	order := make([]int, len(pool))
+	order := make([]int, pool.Len())
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return score[order[a]] > score[order[b]] })
-	sorted := make([][]bool, len(pool))
-	for i, j := range order {
-		sorted[i] = pool[j]
-	}
+	pool = pool.permute(order)
 
 	// Phases 2 and 3, a batch at a time: climb every lane, then fold
 	// the climbed vectors into the profile in pool order. The batch
@@ -135,11 +123,11 @@ func MEROContext(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg MERO
 	counts := make([]int, len(nodes)) // by rare-set position
 	at := make([]uint64, len(nodes))  // node k at its rare value, per lane of one word
 	satisfied := 0
-	for base := 0; base < len(sorted) && satisfied < len(nodes); base += batch {
+	for base := 0; base < pool.Len() && satisfied < len(nodes); base += batch {
 		if err := batchStart(); err != nil {
 			return ts, err
 		}
-		m := l.load(sorted[base:])
+		m := pool.Load(p, base)
 		if err := l.climb(ctx); err != nil {
 			return ts, err
 		}
@@ -168,7 +156,7 @@ func MEROContext(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg MERO
 					}
 				}
 			}
-			ts.Vectors = append(ts.Vectors, l.vector(i))
+			ts.addLane(p, i)
 		}
 	}
 	met.meroVectors.Add(int64(ts.Len()))
@@ -201,34 +189,6 @@ func newLanes(p *sim.Packed, inputs []netlist.GateID, nodes []rare.Node) *lanes 
 		cur:    make([]uint64, p.Words()*planes),
 		best:   make([]uint64, p.Words()*planes),
 	}
-}
-
-// load packs up to Patterns() vectors into the input words, one lane
-// each, zeroing the lanes past the last one, and returns how many it
-// loaded.
-func (l *lanes) load(vecs [][]bool) int {
-	m := min(len(vecs), l.p.Patterns())
-	for j, id := range l.inputs {
-		for w := range l.p.Words() {
-			var word uint64
-			for b := w * 64; b < m && b < (w+1)*64; b++ {
-				if vecs[b][j] {
-					word |= 1 << uint(b%64)
-				}
-			}
-			l.p.SetWord(id, w, word)
-		}
-	}
-	return m
-}
-
-// vector reads lane i's vector back out of the input words.
-func (l *lanes) vector(i int) []bool {
-	v := make([]bool, len(l.inputs))
-	for j, id := range l.inputs {
-		v[j] = l.p.Word(id, i/64)>>uint(i%64)&1 != 0
-	}
-	return v
 }
 
 // atRare returns the lanes of word w in which rare node k sits at its

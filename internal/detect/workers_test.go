@@ -11,9 +11,10 @@ func sameTestSet(t *testing.T, label string, a, b *TestSet) {
 	if a.Len() != b.Len() {
 		t.Fatalf("%s: %d vectors, want %d", label, b.Len(), a.Len())
 	}
-	for i := range a.Vectors {
-		for j := range a.Vectors[i] {
-			if a.Vectors[i][j] != b.Vectors[i][j] {
+	for i := range a.Len() {
+		va, vb := a.Vector(i), b.Vector(i)
+		for j := range va {
+			if va[j] != vb[j] {
 				t.Fatalf("%s: vector %d bit %d differs", label, i, j)
 			}
 		}

@@ -7,28 +7,31 @@ import (
 	"time"
 
 	"cghti/internal/chaos"
+	"cghti/internal/detect"
 	"cghti/internal/gen"
+	"cghti/internal/netlist"
 	"cghti/internal/obs"
 	"cghti/internal/stage"
 )
 
-func cancelVectors(n int, width int) [][]bool {
-	vs := make([][]bool, n)
-	for i := range vs {
-		v := make([]bool, width)
+// cancelVectors returns count alternating-bit vectors over n's inputs.
+func cancelVectors(n *netlist.Netlist, count int) *detect.TestSet {
+	ts := testSet(n)
+	for i := range count {
+		v := make([]bool, len(n.CombInputs()))
 		for j := range v {
 			v[j] = (i+j)%2 == 0
 		}
-		vs[i] = v
+		ts.Add(v)
 	}
-	return vs
+	return ts
 }
 
 func TestRunContextPreCancelled(t *testing.T) {
 	n := gen.C17()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, n, cancelVectors(64, len(n.PIs)), nil, 1)
+	_, err := RunContext(ctx, n, cancelVectors(n, 64), nil, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext = %v, want context.Canceled", err)
 	}
@@ -47,7 +50,7 @@ func TestRunContextCancelledMidRun(t *testing.T) {
 	defer cancel()
 	// Enough vectors for several batches, so there is a later
 	// cancellation point after the injected stall.
-	cov, err := RunContext(ctx, n, cancelVectors(4096, len(n.PIs)), nil, 1)
+	cov, err := RunContext(ctx, n, cancelVectors(n, 4096), nil, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext = %v, want context.Canceled", err)
 	}
@@ -66,7 +69,7 @@ func TestRunWorkerPanicContained(t *testing.T) {
 				Kind: chaos.Panic, OnHit: 1,
 			})
 			defer chaos.Uninstall()
-			_, err := RunWorkers(n, cancelVectors(64, len(n.PIs)), nil, workers)
+			_, err := RunWorkers(n, cancelVectors(n, 64), nil, workers)
 			if err == nil {
 				t.Fatal("injected panic did not surface as an error")
 			}

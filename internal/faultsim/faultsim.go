@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"cghti/internal/chaos"
+	"cghti/internal/detect"
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
 	"cghti/internal/sim"
@@ -105,34 +106,17 @@ func (s *Simulator) Fork() *Simulator {
 	}
 }
 
-// setInputs loads up to Patterns() vectors (each one bool per
-// combinational input, CombInputs order), zeroing the input words past
-// the last one, simulates the good circuit on the packed engine p
-// (compiled for s's netlist, s.words wide) and copies its image. It
-// returns the number of patterns loaded.
-func (s *Simulator) setInputs(p *sim.Packed, vectors [][]bool) int {
-	inputs := s.n.CombInputs()
-	count := len(vectors)
-	if count > s.Patterns() {
-		count = s.Patterns()
-	}
-	W := s.words
-	for j, id := range inputs {
-		for w := 0; w < W; w++ {
-			var word uint64
-			for b := w * 64; b < count && b < (w+1)*64; b++ {
-				if vectors[b][j] {
-					word |= 1 << uint(b%64)
-				}
-			}
-			p.SetWord(id, w, word)
-		}
-	}
+// load copies the set's vectors from base on into the packed engine p
+// (compiled for s's netlist, s.words wide), simulates the good circuit
+// there and copies its image. It returns the number of patterns loaded.
+func (s *Simulator) load(p *sim.Packed, ts *detect.TestSet, base int) int {
+	count := ts.Load(p, base)
 	p.Run()
+	W := s.words
 	for g := range s.n.Gates {
-		base := g * W
+		row := g * W
 		for w := 0; w < W; w++ {
-			s.good[base+w] = p.Word(netlist.GateID(g), w)
+			s.good[row+w] = p.Word(netlist.GateID(g), w)
 		}
 	}
 	return count
@@ -267,11 +251,12 @@ func (c Coverage) Percent() float64 {
 	return 100 * float64(c.Detected) / float64(c.Total)
 }
 
-// Run measures stuck-at fault coverage of the vectors over the fault
-// list (FullFaultList if faults is nil). Detected faults are dropped
-// from later batches (fault dropping), the standard speedup.
-func Run(n *netlist.Netlist, vectors [][]bool, faults []Fault) (Coverage, error) {
-	return RunWorkers(n, vectors, faults, 1)
+// Run measures stuck-at fault coverage of the test set, whose Inputs
+// are n's combinational inputs, over the fault list (FullFaultList if
+// faults is nil). Detected faults are dropped from later batches (fault
+// dropping), the standard speedup.
+func Run(n *netlist.Netlist, ts *detect.TestSet, faults []Fault) (Coverage, error) {
+	return RunWorkers(n, ts, faults, 1)
 }
 
 // RunWorkers is Run with an explicit simulation goroutine budget (1 =
@@ -280,8 +265,8 @@ func Run(n *netlist.Netlist, vectors [][]bool, faults []Fault) (Coverage, error)
 // detection results are folded back in fault-list order, so the
 // coverage (including first-detecting-vector indices and fault
 // dropping) is identical for any worker count.
-func RunWorkers(n *netlist.Netlist, vectors [][]bool, faults []Fault, workers int) (Coverage, error) {
-	return RunContext(context.Background(), n, vectors, faults, workers)
+func RunWorkers(n *netlist.Netlist, ts *detect.TestSet, faults []Fault, workers int) (Coverage, error) {
+	return RunContext(context.Background(), n, ts, faults, workers)
 }
 
 // RunContext is RunWorkers with cooperative cancellation (checked per
@@ -291,7 +276,7 @@ func RunWorkers(n *netlist.Netlist, vectors [][]bool, faults []Fault, workers in
 // coverage accumulated over completed batches is returned alongside
 // ctx's error — detections already recorded are real, only later
 // vectors go unmeasured.
-func RunContext(ctx context.Context, n *netlist.Netlist, vectors [][]bool, faults []Fault, workers int) (Coverage, error) {
+func RunContext(ctx context.Context, n *netlist.Netlist, ts *detect.TestSet, faults []Fault, workers int) (Coverage, error) {
 	if faults == nil {
 		faults = FullFaultList(n)
 	}
@@ -299,7 +284,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, vectors [][]bool, fault
 		workers = runtime.GOMAXPROCS(0)
 	}
 	cov := Coverage{Total: len(faults), PerFault: make(map[Fault]int)}
-	if len(vectors) == 0 || len(faults) == 0 {
+	if ts.Len() == 0 || len(faults) == 0 {
 		return cov, nil
 	}
 	const words = 8
@@ -326,7 +311,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, vectors [][]bool, fault
 	// surfaces as a *obs.StageError; cov is accumulated per completed
 	// batch, so the partial coverage survives an early return.
 	loopErr := obs.Guard(stage.FaultSim, 0, func() error {
-		for base := 0; base < len(vectors) && len(remaining) > 0; base += s.Patterns() {
+		for base := 0; base < ts.Len() && len(remaining) > 0; base += s.Patterns() {
 			select {
 			case <-ctxDone:
 				return ctx.Err()
@@ -335,11 +320,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, vectors [][]bool, fault
 			if err := chaos.Hit(stage.FaultSim, 0); err != nil {
 				return err
 			}
-			hi := base + s.Patterns()
-			if hi > len(vectors) {
-				hi = len(vectors)
-			}
-			count := s.setInputs(good, vectors[base:hi])
+			count := s.load(good, ts, base)
 			if workers == 1 || len(remaining) < 2 {
 				for i, f := range remaining {
 					firsts[i] = firstSetBit(s.DetectMask(f), count)

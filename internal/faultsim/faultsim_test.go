@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cghti/internal/bench"
+	"cghti/internal/detect"
 	"cghti/internal/gen"
 	"cghti/internal/netlist"
 	"cghti/internal/sim"
@@ -35,18 +36,13 @@ func parse(t testing.TB, src string) *netlist.Netlist {
 	return n
 }
 
-func randomVectors(n *netlist.Netlist, count int, seed int64) [][]bool {
-	rng := rand.New(rand.NewSource(seed))
-	inputs := n.CombInputs()
-	out := make([][]bool, count)
-	for i := range out {
-		v := make([]bool, len(inputs))
-		for j := range v {
-			v[j] = rng.Intn(2) == 1
-		}
-		out[i] = v
+// testSet builds a set over n's combinational inputs from vectors.
+func testSet(n *netlist.Netlist, vectors ...[]bool) *detect.TestSet {
+	ts := &detect.TestSet{Inputs: n.CombInputs()}
+	for _, v := range vectors {
+		ts.Add(v)
 	}
-	return out
+	return ts
 }
 
 func TestFullFaultList(t *testing.T) {
@@ -71,15 +67,15 @@ func TestC17ExhaustiveFullCoverage(t *testing.T) {
 	// c17 is fully testable: all 22 faults detected by exhaustive
 	// patterns.
 	n := parse(t, c17)
-	var vectors [][]bool
+	ts := testSet(n)
 	for p := 0; p < 32; p++ {
 		v := make([]bool, 5)
 		for j := 0; j < 5; j++ {
 			v[j] = p>>uint(j)&1 == 1
 		}
-		vectors = append(vectors, v)
+		ts.Add(v)
 	}
-	cov, err := Run(n, vectors, nil)
+	cov, err := Run(n, ts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +97,11 @@ g = AND(a, b)
 y = OR(a, g)
 `)
 	fault := Fault{Site: n.MustLookup("g"), StuckAt: 0}
-	var vectors [][]bool
+	ts := testSet(n)
 	for p := 0; p < 4; p++ {
-		vectors = append(vectors, []bool{p&1 == 1, p&2 == 2})
+		ts.Add([]bool{p&1 == 1, p&2 == 2})
 	}
-	cov, err := Run(n, vectors, []Fault{fault})
+	cov, err := Run(n, ts, []Fault{fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +159,8 @@ func TestDetectMaskMatchesScalarReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vectors := randomVectors(n, 64, int64(trial))
-		s.setInputs(good, vectors)
+		ts := detect.RandomTestSet(n, 64, int64(trial))
+		s.load(good, ts, 0)
 		sim.ReleasePacked(good)
 		inputs := n.CombInputs()
 		outs := n.CombOutputs()
@@ -175,8 +171,9 @@ func TestDetectMaskMatchesScalarReference(t *testing.T) {
 			for p := 0; p < 8; p++ {
 				pat := rng.Intn(64)
 				in := map[netlist.GateID]uint8{}
+				v := ts.Vector(pat)
 				for j, id := range inputs {
-					if vectors[pat][j] {
+					if v[j] {
 						in[id] = 1
 					} else {
 						in[id] = 0
@@ -207,14 +204,14 @@ func TestDetectMaskMatchesScalarReference(t *testing.T) {
 func TestRunFirstDetectingVectorIndex(t *testing.T) {
 	// y = AND(a,b); a s-a-0 detected only by a=1,b=1.
 	n := parse(t, "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n")
-	vectors := [][]bool{
-		{false, false},
-		{true, false},
-		{true, true}, // first detecting vector for a s-a-0
-		{true, true},
-	}
+	ts := testSet(n,
+		[]bool{false, false},
+		[]bool{true, false},
+		[]bool{true, true}, // first detecting vector for a s-a-0
+		[]bool{true, true},
+	)
 	f := Fault{Site: n.MustLookup("a"), StuckAt: 0}
-	cov, err := Run(n, vectors, []Fault{f})
+	cov, err := Run(n, ts, []Fault{f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +222,7 @@ func TestRunFirstDetectingVectorIndex(t *testing.T) {
 
 func TestRunEmptyInputs(t *testing.T) {
 	n := parse(t, c17)
-	cov, err := Run(n, nil, nil)
+	cov, err := Run(n, testSet(n), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +237,8 @@ func TestRunEmptyInputs(t *testing.T) {
 func TestRunMultiBatchFaultDropping(t *testing.T) {
 	// More vectors than one batch (512) forces the multi-batch path.
 	n := gen.MustBenchmark("c432")
-	vectors := randomVectors(n, 1100, 3)
-	cov, err := Run(n, vectors, nil)
+	ts := detect.RandomTestSet(n, 1100, 3)
+	cov, err := Run(n, ts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +247,7 @@ func TestRunMultiBatchFaultDropping(t *testing.T) {
 	}
 	// Detection indices must be within range and consistent.
 	for f, idx := range cov.PerFault {
-		if idx < 0 || idx >= len(vectors) {
+		if idx < 0 || idx >= ts.Len() {
 			t.Fatalf("fault %v first-detect index %d out of range", f, idx)
 		}
 	}
@@ -269,7 +266,7 @@ q = DFF(d)
 d = AND(a, b)
 `)
 	f := Fault{Site: n.MustLookup("d"), StuckAt: 0}
-	cov, err := Run(n, [][]bool{{true, true, false}}, []Fault{f})
+	cov, err := Run(n, testSet(n, []bool{true, true, false}), []Fault{f})
 	if err != nil {
 		t.Fatal(err)
 	}

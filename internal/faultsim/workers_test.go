@@ -3,6 +3,7 @@ package faultsim
 import (
 	"testing"
 
+	"cghti/internal/detect"
 	"cghti/internal/gen"
 )
 
@@ -15,13 +16,13 @@ func TestRunWorkersIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vectors := randomVectors(n, 1500, 13)
-		ref, err := RunWorkers(n, vectors, nil, 1)
+		ts := detect.RandomTestSet(n, 1500, 13)
+		ref, err := RunWorkers(n, ts, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 8} {
-			got, err := RunWorkers(n, vectors, nil, workers)
+			got, err := RunWorkers(n, ts, nil, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -72,10 +72,11 @@ func Extract(n *netlist.Netlist, cfg Config) ([]Vector, error) {
 
 	// Simulated probability and switching activity.
 	const words = 8
-	p, err := sim.NewPacked(n, words)
+	p, err := sim.AcquirePacked(n, words)
 	if err != nil {
 		return nil, err
 	}
+	defer sim.ReleasePacked(p)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ones := make([]int64, n.NumGates())
 	toggles := make([]int64, n.NumGates())

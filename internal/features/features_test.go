@@ -8,6 +8,7 @@ import (
 	"cghti/internal/bench"
 	"cghti/internal/gen"
 	"cghti/internal/netlist"
+	"cghti/internal/sim"
 )
 
 func extract(t *testing.T, src string) (*netlist.Netlist, []Vector) {
@@ -149,5 +150,21 @@ func TestExtractOnGeneratedCircuit(t *testing.T) {
 			t.Fatalf("%s: switching %v exceeds bound %v (p=%v)",
 				f.Name, f.Switching, bound, f.Prob1)
 		}
+	}
+}
+
+// TestExtractReleasesEngine requires Extract to hand back its engine's
+// shared-program lease: once the engine pool is drained, the registry
+// holds no more references than before.
+func TestExtractReleasesEngine(t *testing.T) {
+	n := gen.C17()
+	sim.DrainPackedPool()
+	_, refs0 := sim.SharedProgramStats()
+	if _, err := Extract(n, Config{Vectors: 256, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	sim.DrainPackedPool()
+	if _, refs := sim.SharedProgramStats(); refs != refs0 {
+		t.Fatalf("%d shared-program references after Extract, want %d", refs, refs0)
 	}
 }
