@@ -81,11 +81,10 @@ func ParseBenchString(src, name string) (*Netlist, error) { return bench.ParseSt
 // CompactNetlist is the arena (CSR) netlist form: typed parallel arrays
 // instead of per-gate structs, with fanin/fanout edges in two shared
 // index arenas. It is what the parser emits; ToNetlist expands it into
-// the pointer form the pipeline runs on.
+// the pointer form the pipeline runs on and hands it over, so the
+// netlist's Compact method returns it. A netlist built another way
+// derives its arena once, on the first Compact call.
 type CompactNetlist = netlist.Compact
-
-// CompactOf converts a pointer-form netlist to the arena form.
-func CompactOf(n *Netlist) *CompactNetlist { return netlist.CompactOf(n) }
 
 // ParseBenchStream is the .bench parser. It reads line by line into the
 // arena form without materializing the whole file or per-gate structs,

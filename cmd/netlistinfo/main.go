@@ -26,7 +26,6 @@ import (
 	"cghti/internal/features"
 	"cghti/internal/netlist"
 	"cghti/internal/rare"
-	"cghti/internal/scoap"
 	"cghti/internal/vparse"
 )
 
@@ -194,7 +193,10 @@ func main() {
 	for gt, count := range stats.ByType {
 		doc.ByType[gt.String()] = count
 	}
-	c := netlist.CompactOf(n)
+	c, err := n.Compact()
+	if err != nil {
+		cli.Fatal(tool, err)
+	}
 	doc.Edges = n.NumEdges()
 	doc.PointerBytes = n.EstimatedBytes()
 	doc.CompactBytes = c.EstimatedBytes()
@@ -249,18 +251,18 @@ func main() {
 	}
 
 	if *showScoap {
-		m, err := scoap.Compute(n)
+		m, err := n.SCOAP()
 		if err != nil {
 			cli.Fatal(tool, err)
 		}
 		var maxCC, maxCO int64
 		for i := range n.Gates {
 			for _, v := range []int64{m.CC0[i], m.CC1[i]} {
-				if v > maxCC && v < scoap.Inf {
+				if v > maxCC && v < netlist.SCOAPInf {
 					maxCC = v
 				}
 			}
-			if m.CO[i] > maxCO && m.CO[i] < scoap.Inf {
+			if m.CO[i] > maxCO && m.CO[i] < netlist.SCOAPInf {
 				maxCO = m.CO[i]
 			}
 		}

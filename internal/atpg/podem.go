@@ -7,7 +7,6 @@ import (
 
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
-	"cghti/internal/scoap"
 	"cghti/internal/sim"
 )
 
@@ -86,7 +85,7 @@ type Analysis struct {
 	inputPos []int32 // GateID -> position in inputs; -1 for other gates
 	topo     []netlist.GateID
 	topoPos  []int32 // GateID -> position in topo
-	sc       *scoap.Measures
+	sc       *netlist.SCOAP
 	obsDist  []int32 // min #gates to an observable net (0 = observable); -1 if none
 }
 
@@ -178,7 +177,7 @@ func Analyze(n *netlist.Netlist) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, err := scoap.Compute(n)
+	sc, err := n.SCOAP()
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 
 	"cghti/internal/netlist"
 	"cghti/internal/rare"
-	"cghti/internal/scoap"
 	"cghti/internal/sim"
 )
 
@@ -106,7 +105,7 @@ func RLInsert(n *netlist.Netlist, rs *rare.Set, cfg RLConfig) (*Result, error) {
 		}
 		cands = sampled
 	}
-	sc, err := scoap.Compute(n)
+	sc, err := n.SCOAP()
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +226,7 @@ func pickSubset(qvals []float64, q int, eps float64, rng *rand.Rand) []int {
 // per-vector fraction of nodes at their rare values, with a small SCOAP
 // stealth bonus when full co-activation is found. Returns the
 // co-activating vector if one was observed.
-func episodeReward(p *sim.Packed, n *netlist.Netlist, subset []rare.Node, vectors int, sc *scoap.Measures, rng *rand.Rand) (float64, []bool) {
+func episodeReward(p *sim.Packed, n *netlist.Netlist, subset []rare.Node, vectors int, sc *netlist.SCOAP, rng *rand.Rand) (float64, []bool) {
 	inputs := n.CombInputs()
 	best := 0.0
 	var hit []bool

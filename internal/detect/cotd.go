@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"cghti/internal/netlist"
-	"cghti/internal/scoap"
 )
 
 // COTDConfig parameterizes the structural SCOAP-outlier analysis (in the
@@ -55,7 +54,7 @@ type COTDReport struct {
 // netlist's own score distribution. No golden model is needed.
 func COTD(n *netlist.Netlist, cfg COTDConfig) (*COTDReport, error) {
 	cfg = cfg.withDefaults()
-	m, err := scoap.Compute(n)
+	m, err := n.SCOAP()
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +69,7 @@ func COTD(n *netlist.Netlist, cfg COTDConfig) (*COTDReport, error) {
 		if m.CC1[i] > cc {
 			cc = m.CC1[i]
 		}
-		if cc >= scoap.Inf {
+		if cc >= netlist.SCOAPInf {
 			// Structurally constant logic: untestable, not a trojan
 			// signature by this analysis.
 			continue

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,16 +55,18 @@ func FullFaultList(n *netlist.Netlist) []Fault {
 
 // Simulator runs parallel-pattern single-fault propagation: for each
 // fault, the good value image is reused and only the fault's downstream
-// cone is re-evaluated with the fault injected, 64 patterns at a time.
+// cone is evaluated with the fault injected, 64 patterns at a time.
 type Simulator struct {
 	n     *netlist.Netlist
 	topo  []netlist.GateID
-	outs  []netlist.GateID
+	pos   []int32 // each gate's place in topo
+	isOut []bool  // combinational outputs
 	words int
 
-	good  []uint64 // good-circuit image
-	bad   []uint64 // per-fault scratch image
-	inTFO []bool   // scratch: fault's transitive fanout
+	good   []uint64 // good-circuit image, shared read-only by forks
+	bad    []uint64 // faulty values, valid on the current cone only
+	inCone []bool   // scratch: marks of the current fault's cone
+	cone   []int32  // scratch: topo places of the current fault's cone
 }
 
 // NewSimulator builds a fault simulator with the given pattern-word
@@ -76,15 +79,16 @@ func NewSimulator(n *netlist.Netlist, words int) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{
-		n:     n,
-		topo:  topo,
-		outs:  n.CombOutputs(),
-		words: words,
-		good:  make([]uint64, len(n.Gates)*words),
-		bad:   make([]uint64, len(n.Gates)*words),
-		inTFO: make([]bool, len(n.Gates)),
-	}, nil
+	pos := make([]int32, len(n.Gates))
+	for i, id := range topo {
+		pos[id] = int32(i)
+	}
+	isOut := make([]bool, len(n.Gates))
+	for _, id := range n.CombOutputs() {
+		isOut[id] = true
+	}
+	s := &Simulator{n: n, topo: topo, pos: pos, isOut: isOut, words: words, good: make([]uint64, len(n.Gates)*words)}
+	return s.Fork(), nil // the fork allocates the per-fault scratch
 }
 
 // Patterns returns the number of patterns per batch.
@@ -96,13 +100,14 @@ func (s *Simulator) Patterns() int { return 64 * s.words }
 // patterns on the parent only, while no fork is simulating.
 func (s *Simulator) Fork() *Simulator {
 	return &Simulator{
-		n:     s.n,
-		topo:  s.topo,
-		outs:  s.outs,
-		words: s.words,
-		good:  s.good,
-		bad:   make([]uint64, len(s.n.Gates)*s.words),
-		inTFO: make([]bool, len(s.n.Gates)),
+		n:      s.n,
+		topo:   s.topo,
+		pos:    s.pos,
+		isOut:  s.isOut,
+		words:  s.words,
+		good:   s.good,
+		bad:    make([]uint64, len(s.n.Gates)*s.words),
+		inCone: make([]bool, len(s.n.Gates)),
 	}
 }
 
@@ -126,110 +131,95 @@ func (s *Simulator) load(p *sim.Packed, ts *detect.TestSet, base int) int {
 // and returns a bitmask word list: bit p set means pattern p detects the
 // fault (some combinational output differs from the good circuit).
 func (s *Simulator) DetectMask(f Fault) []uint64 {
-	n := s.n
-	W := s.words
+	n, W := s.n, s.words
 
-	// Mark the fault's transitive fanout; only those gates need
-	// re-evaluation, everything else keeps its good value.
-	for i := range s.inTFO {
-		s.inTFO[i] = false
-	}
-	stack := []netlist.GateID{f.Site}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if s.inTFO[id] {
-			continue
-		}
-		s.inTFO[id] = true
-		for _, o := range n.Gates[id].Fanout {
-			if n.Gates[o].Type == netlist.DFF {
-				continue
+	// Collect the fault's transitive fanout (DFFs end it) as topo
+	// places: only those gates can differ from the good circuit.
+	cone := append(s.cone[:0], s.pos[f.Site])
+	s.inCone[f.Site] = true
+	for i := 0; i < len(cone); i++ {
+		for _, o := range n.Gates[s.topo[cone[i]]].Fanout {
+			if !s.inCone[o] && n.Gates[o].Type != netlist.DFF {
+				s.inCone[o] = true
+				cone = append(cone, s.pos[o])
 			}
-			stack = append(stack, o)
 		}
 	}
+	// The site precedes everything downstream of it; order the rest.
+	slices.Sort(cone[1:])
 
-	// Faulty image: copy good values for fanin reads; re-evaluate the
-	// cone with the fault forced.
-	copy(s.bad, s.good)
 	var fill uint64
 	if f.StuckAt == 1 {
 		fill = ^uint64(0)
 	}
-	base := int(f.Site) * W
-	for w := 0; w < W; w++ {
-		s.bad[base+w] = fill
+	site := s.image(f.Site)
+	for w := range site {
+		site[w] = fill
 	}
-	s.evalCone(f.Site)
+	for _, p := range cone[1:] {
+		s.eval(s.topo[p])
+	}
 
 	mask := make([]uint64, W)
-	for _, out := range s.outs {
-		ob := int(out) * W
-		for w := 0; w < W; w++ {
-			mask[w] |= s.good[ob+w] ^ s.bad[ob+w]
+	for _, p := range cone {
+		id := s.topo[p]
+		if s.isOut[id] {
+			ob := int(id) * W
+			for w := range mask {
+				mask[w] |= s.good[ob+w] ^ s.bad[ob+w]
+			}
 		}
+		s.inCone[id] = false
 	}
+	s.cone = cone
 	return mask
 }
 
-// evalCone re-evaluates, in topological order, the gates of the
-// faulty image strictly downstream of site (marked in inTFO); their
-// fanins read whatever the image already holds. Such gates are never
-// sources: the fanout walk stops at DFFs, and inputs and constants
-// have no fanin.
-func (s *Simulator) evalCone(site netlist.GateID) {
-	n, W, vals := s.n, s.words, s.bad
-	for _, id := range s.topo {
-		if !s.inTFO[id] || id == site {
-			continue
+// eval computes gate id's faulty words from its fanins. Cone gates
+// other than the site are never sources: the fanout walk stops at
+// DFFs, and inputs and constants have no fanin.
+func (s *Simulator) eval(id netlist.GateID) {
+	g := &s.n.Gates[id]
+	out := s.image(id)
+	copy(out, s.image(g.Fanin[0]))
+	switch rest := g.Fanin[1:]; g.Type {
+	case netlist.And, netlist.Nand:
+		for _, f := range rest {
+			in := s.image(f)
+			for w := range out {
+				out[w] &= in[w]
+			}
 		}
-		g := &n.Gates[id]
-		base := int(id) * W
-		switch g.Type {
-		case netlist.Buf:
-			src := int(g.Fanin[0]) * W
-			copy(vals[base:base+W], vals[src:src+W])
-		case netlist.Not:
-			src := int(g.Fanin[0]) * W
-			for w := 0; w < W; w++ {
-				vals[base+w] = ^vals[src+w]
+	case netlist.Or, netlist.Nor:
+		for _, f := range rest {
+			in := s.image(f)
+			for w := range out {
+				out[w] |= in[w]
 			}
-		case netlist.And, netlist.Nand:
-			for w := 0; w < W; w++ {
-				acc := ^uint64(0)
-				for _, f := range g.Fanin {
-					acc &= vals[int(f)*W+w]
-				}
-				if g.Type == netlist.Nand {
-					acc = ^acc
-				}
-				vals[base+w] = acc
-			}
-		case netlist.Or, netlist.Nor:
-			for w := 0; w < W; w++ {
-				var acc uint64
-				for _, f := range g.Fanin {
-					acc |= vals[int(f)*W+w]
-				}
-				if g.Type == netlist.Nor {
-					acc = ^acc
-				}
-				vals[base+w] = acc
-			}
-		case netlist.Xor, netlist.Xnor:
-			for w := 0; w < W; w++ {
-				var acc uint64
-				for _, f := range g.Fanin {
-					acc ^= vals[int(f)*W+w]
-				}
-				if g.Type == netlist.Xnor {
-					acc = ^acc
-				}
-				vals[base+w] = acc
+		}
+	case netlist.Xor, netlist.Xnor:
+		for _, f := range rest {
+			in := s.image(f)
+			for w := range out {
+				out[w] ^= in[w]
 			}
 		}
 	}
+	if g.Type.HasInversion() {
+		for w := range out {
+			out[w] = ^out[w]
+		}
+	}
+}
+
+// image returns gate id's words under the current fault: its faulty
+// words when it is in the cone, its good ones otherwise.
+func (s *Simulator) image(id netlist.GateID) []uint64 {
+	img := s.good
+	if s.inCone[id] {
+		img = s.bad
+	}
+	return img[int(id)*s.words : int(id+1)*s.words]
 }
 
 // Coverage is the result of a fault-coverage run.

@@ -18,7 +18,6 @@ import (
 	"strconv"
 
 	"cghti/internal/netlist"
-	"cghti/internal/scoap"
 	"cghti/internal/sim"
 )
 
@@ -34,7 +33,7 @@ type Vector struct {
 	// (2·p·(1−p) under temporal independence; measured directly from
 	// consecutive random vectors here).
 	Switching float64
-	// CC0, CC1, CO are SCOAP measures (saturated at scoap.Inf).
+	// CC0, CC1, CO are SCOAP measures (saturated at netlist.SCOAPInf).
 	CC0, CC1, CO int64
 	// FanIn and FanOut are the local connectivity counts.
 	FanIn, FanOut int
@@ -62,7 +61,7 @@ func Extract(n *netlist.Netlist, cfg Config) ([]Vector, error) {
 	if cfg.Vectors <= 0 {
 		cfg.Vectors = 4096
 	}
-	m, err := scoap.Compute(n)
+	m, err := n.SCOAP()
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +236,7 @@ func WriteCSVFile(path string, vectors []Vector) error {
 
 // satStr renders a SCOAP value, using "inf" for the saturation value.
 func satStr(v int64) string {
-	if v >= scoap.Inf {
+	if v >= netlist.SCOAPInf {
 		return "inf"
 	}
 	return strconv.FormatInt(v, 10)

@@ -1,6 +1,11 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+
+	"cghti/internal/obs"
+)
 
 // Compact is the arena (struct-of-arrays / CSR) form of a netlist. Where
 // Netlist spends two slice headers and two backing arrays per gate,
@@ -11,11 +16,13 @@ import "fmt"
 // memory by roughly 3x (see DESIGN.md, "Compact netlist memory
 // layout").
 //
-// GateIDs are shared with the pointer form: CompactOf preserves IDs, so
-// per-gate data computed against one form indexes directly into the
-// other. The .bench parser (internal/bench.ParseStream) produces a
-// Compact directly, without ever materializing per-gate slices, and
-// hands over its intern table as the frozen name index (SetNames).
+// Every Netlist owns one levelized Compact, read through
+// Netlist.Compact, with the same gate IDs, so per-gate data computed
+// against one form indexes directly into the other. The .bench parser
+// (internal/bench.ParseStream) produces a Compact directly, without ever
+// materializing per-gate slices, hands over its intern table as the
+// frozen name index (SetNames), and ToNetlist hands the Compact itself
+// over to the netlist it expands.
 type Compact struct {
 	// Name is the circuit name.
 	Name string
@@ -42,18 +49,83 @@ type Compact struct {
 	index     *NameIndex // frozen index over Names; nil until SetNames
 	topo      []GateID
 	levelized bool
+
+	scoapOnce sync.Once
+	scoap     *SCOAP
+	scoapErr  error
 }
+
+var (
+	compactBuilds = obs.NewCounter("netlist.compact_builds")
+	scoapPasses   = obs.NewCounter("netlist.scoap_passes")
+)
 
 // SetNames makes x the gate names and their frozen index: Names becomes
 // x's names in gate-ID order, and ToNetlist hands x on instead of
 // building an index. The .bench parser sets its intern table this way.
 func (c *Compact) SetNames(x *NameIndex) { c.Names, c.index = x.names, x }
 
-// CompactOf converts the pointer form to the arena form, preserving
+// arenaMemo holds a netlist's arena form once derived. Clones share the
+// memo, so whichever holder asks first builds it, from its own gates:
+// every holder still has the structure it was cloned with, since a
+// mutation drops the holder's memo first.
+type arenaMemo struct {
+	once sync.Once
+	c    *Compact
+	err  error
+}
+
+// Compact returns the netlist's arena form, levelized. It is derived at
+// most once and then shared read-only: by concurrent callers, by every
+// clone, and, for a parsed netlist, it is the parser's own arena, handed
+// over by ToNetlist. Every method that changes the structure or the
+// output set drops it, so the next call rebuilds it from the gates; code
+// that writes gate fields directly calls DropCompact first. The caller
+// must not modify the result.
+func (n *Netlist) Compact() (*Compact, error) {
+	m := n.arena.Load()
+	if m == nil {
+		n.arena.CompareAndSwap(nil, new(arenaMemo))
+		m = n.arena.Load()
+	}
+	m.once.Do(func() {
+		if m.c == nil {
+			m.c = buildCompact(n)
+			if m.err = m.c.Levelize(); m.err != nil {
+				m.c = nil
+			}
+		}
+	})
+	return m.c, m.err
+}
+
+// DropCompact forgets the netlist's arena form and the measures derived
+// from it; the next Compact rebuilds them from the gates. Clones that
+// share the arena keep it.
+func (n *Netlist) DropCompact() {
+	if n.arena.Load() != nil {
+		n.arena.Store(nil)
+	}
+}
+
+// SCOAP returns the netlist's SCOAP measures, computed at most once per
+// arena: clones sharing an arena share one computation. The caller must
+// not modify the result.
+func (n *Netlist) SCOAP() (*SCOAP, error) {
+	c, err := n.Compact()
+	if err != nil {
+		return nil, err
+	}
+	c.scoapOnce.Do(func() { c.scoap, c.scoapErr = computeSCOAP(c) })
+	return c.scoap, c.scoapErr
+}
+
+// buildCompact converts the pointer form to the arena form, preserving
 // gate IDs, port order, fanout insertion order and (when n is already
-// levelized) the cached levels and topological order. The result has
-// no name index; ToNetlist builds one.
-func CompactOf(n *Netlist) *Compact {
+// levelized) the levels and topological order. It only reads n. The
+// result has no name index; ToNetlist builds one.
+func buildCompact(n *Netlist) *Compact {
+	compactBuilds.Inc()
 	num := len(n.Gates)
 	c := &Compact{
 		Name:        n.Name,
@@ -87,7 +159,7 @@ func CompactOf(n *Netlist) *Compact {
 		c.FaninIdx = append(c.FaninIdx, n.Gates[i].Fanin...)
 		c.FanoutIdx = append(c.FanoutIdx, n.Gates[i].Fanout...)
 	}
-	if n.levelized && n.topo != nil {
+	if n.topo != nil {
 		c.topo = append([]GateID(nil), n.topo...)
 		c.levelized = true
 	}
@@ -303,7 +375,9 @@ func (c *Compact) Validate() error {
 
 // ToNetlist expands the arena form back to the pointer form (per-gate
 // fanin and fanout lists copied into one slab, as CloneGrow does),
-// carrying over cached levels and topological order. The pointer form's
+// carrying over cached levels and topological order. A levelized c (a
+// parsed Compact is) becomes the netlist's arena form, so Netlist.Compact
+// returns c itself and c must not be modified afterwards. The pointer form's
 // frozen name index is the Compact's own when it has one (a parsed
 // Compact does), so no map is built; otherwise ToNetlist indexes Names
 // and rejects a name two gates share. Every clone of the result shares
@@ -339,7 +413,7 @@ func (c *Compact) ToNetlist() (*Netlist, error) {
 	}
 	if c.levelized && c.topo != nil {
 		n.topo = append([]GateID(nil), c.topo...)
-		n.levelized = true
+		n.arena.Store(&arenaMemo{c: c})
 	}
 	return n, nil
 }

@@ -78,7 +78,10 @@ func TestCompactOfRoundTrip(t *testing.T) {
 	if err := n.Levelize(); err != nil {
 		t.Fatal(err)
 	}
-	c := CompactOf(n)
+	c, err := n.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.NumGates() != n.NumGates() {
 		t.Fatalf("NumGates: got %d want %d", c.NumGates(), n.NumGates())
 	}
@@ -142,9 +145,9 @@ func TestCompactLevelizeMatchesNetlist(t *testing.T) {
 		func() *Netlist { return chainNetlist(300) },
 	} {
 		n := build()
-		c := CompactOf(n) // before levelization: Compact levelizes itself
+		c := buildCompact(n) // before levelization: Compact levelizes itself
 		if c.levelized {
-			t.Fatal("CompactOf of an unlevelized netlist should not be levelized")
+			t.Fatal("a fresh build should not be levelized before Levelize")
 		}
 		if err := n.Levelize(); err != nil {
 			t.Fatal(err)
@@ -173,7 +176,10 @@ func TestCompactLevelizeCycle(t *testing.T) {
 	n.Connect(x, y)
 	n.Connect(y, x)
 	n.MarkPO(y)
-	c := CompactOf(n)
+	if _, err := n.Compact(); err == nil {
+		t.Fatal("expected Compact to report the cycle")
+	}
+	c := buildCompact(n)
 	if err := c.Levelize(); err == nil {
 		t.Fatal("expected cycle error")
 	}
@@ -184,17 +190,17 @@ func TestCompactLevelizeCycle(t *testing.T) {
 
 func TestCompactValidateRejects(t *testing.T) {
 	n := buildTestNetlist(t)
-	c := CompactOf(n)
+	c := buildCompact(n)
 	c.PIs = nil
 	if err := c.Validate(); err == nil {
 		t.Fatal("expected error for missing PIs")
 	}
-	c = CompactOf(n)
+	c = buildCompact(n)
 	c.POs, c.DFFs = nil, nil
 	if err := c.Validate(); err == nil {
 		t.Fatal("expected error for missing outputs")
 	}
-	c = CompactOf(n)
+	c = buildCompact(n)
 	c.Types[c.PIs[0]] = Not // Input with 0 fanins becomes NOT with 0 fanins
 	if err := c.Validate(); err == nil {
 		t.Fatal("expected arity error")
@@ -203,7 +209,10 @@ func TestCompactValidateRejects(t *testing.T) {
 
 func TestCompactLevelHistogramAndBytes(t *testing.T) {
 	n := buildTestNetlist(t)
-	c := CompactOf(n)
+	c, err := n.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
 	hist := c.LevelHistogram()
 	if hist == nil {
 		t.Fatal("LevelHistogram returned nil on an acyclic netlist")

@@ -11,7 +11,7 @@ import "fmt"
 // (Section IV-C lists "levelizing the netlist" as step one) and everything
 // downstream — simulation, SCOAP, PODEM — consumes the cached order.
 func (n *Netlist) Levelize() error {
-	if n.levelized && n.topo != nil {
+	if n.topo != nil {
 		return nil
 	}
 	num := len(n.Gates)
@@ -66,7 +66,6 @@ func (n *Netlist) Levelize() error {
 			n.Name, len(topo), num)
 	}
 	n.topo = topo
-	n.levelized = true
 	return nil
 }
 

@@ -13,7 +13,7 @@ import (
 // through the arena form, so its name index is the frozen one.
 func parsedNetlist(t testing.TB, gates int) *Netlist {
 	t.Helper()
-	c := CompactOf(chainNetlist(gates))
+	c := buildCompact(chainNetlist(gates))
 	if err := c.Levelize(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +155,12 @@ func TestConcurrentClonesOfOneBase(t *testing.T) {
 }
 
 // TestToNetlistRejectsDuplicateName: a Compact without an index (here
-// from CompactOf) gets one built at ToNetlist, and two gates sharing a
+// a fresh build) gets one built at ToNetlist, and two gates sharing a
 // name are still an error, with the same message.
 func TestToNetlistRejectsDuplicateName(t *testing.T) {
 	n := chainNetlist(5)
 	n.Gates[4].Name = "g1" // gates 2 and 4 now share a name
-	_, err := CompactOf(n).ToNetlist()
+	_, err := buildCompact(n).ToNetlist()
 	if want := `netlist "chain": gates 2 and 4 share name "g1"`; err == nil || err.Error() != want {
 		t.Fatalf("got %v, want %s", err, want)
 	}
@@ -172,7 +172,7 @@ func TestToNetlistRejectsDuplicateName(t *testing.T) {
 func TestEstimatedBytesCountsNameIndex(t *testing.T) {
 	const gates = 1000
 	built := chainNetlist(gates) // names in the byName overlay
-	c := CompactOf(built)
+	c := buildCompact(built)
 	bare := c.EstimatedBytes()
 	x, err := indexNames(c.Name, c.Names)
 	if err != nil {

@@ -14,6 +14,7 @@ package netlist
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -198,10 +199,10 @@ type Netlist struct {
 	// for netlists assembled gate by gate). byName holds the names this
 	// netlist added beyond names; a clone copies only this overlay. A
 	// name lives in exactly one of the two.
-	names     *NameIndex
-	byName    map[string]GateID
-	levelized bool
-	topo      []GateID // cached topological order (combinational view)
+	names  *NameIndex
+	byName map[string]GateID
+	topo   []GateID                  // cached topological order (combinational view); nil until Levelize
+	arena  atomic.Pointer[arenaMemo] // the arena form once derived (see Compact); shared by clones
 }
 
 // New returns an empty netlist with the given name.
@@ -306,6 +307,7 @@ func (n *Netlist) MarkPO(id GateID) {
 	if !n.Gates[id].IsPO {
 		n.Gates[id].IsPO = true
 		n.POs = append(n.POs, id)
+		n.DropCompact()
 	}
 }
 
@@ -346,6 +348,7 @@ func (n *Netlist) ReplacePOMarker(old, new GateID) error {
 	}
 	n.Gates[old].IsPO = false
 	n.Gates[new].IsPO = true
+	n.DropCompact()
 	for i, id := range n.POs {
 		if id == old {
 			n.POs[i] = new
@@ -356,8 +359,8 @@ func (n *Netlist) ReplacePOMarker(old, new GateID) error {
 }
 
 func (n *Netlist) invalidate() {
-	n.levelized = false
 	n.topo = nil
+	n.DropCompact()
 }
 
 // Clone returns a deep copy of the netlist.
@@ -367,20 +370,19 @@ func (n *Netlist) Clone() *Netlist { return n.CloneGrow(0) }
 // extra more gates (and their names), so adding them reallocates
 // neither the gate array nor the name index. Every gate's fanin and
 // fanout lists are copied into one slab (idSlab). The frozen name index
-// is shared, not copied — only the source's own additions are — so
-// cloning a parsed netlist allocates a fixed number of objects however
-// many gates it has. CloneGrow only reads n: concurrent clones of one
-// netlist are safe.
+// and the arena form are shared, not copied — only the source's own
+// name additions are — so cloning a parsed netlist allocates a fixed
+// number of objects however many gates it has. CloneGrow only reads n:
+// concurrent clones of one netlist are safe.
 func (n *Netlist) CloneGrow(extra int) *Netlist {
 	c := &Netlist{
-		Name:      n.Name,
-		Gates:     make([]Gate, len(n.Gates), len(n.Gates)+extra),
-		PIs:       append([]GateID(nil), n.PIs...),
-		POs:       append([]GateID(nil), n.POs...),
-		DFFs:      append([]GateID(nil), n.DFFs...),
-		names:     n.names,
-		byName:    make(map[string]GateID, len(n.byName)+extra),
-		levelized: n.levelized,
+		Name:   n.Name,
+		Gates:  make([]Gate, len(n.Gates), len(n.Gates)+extra),
+		PIs:    append([]GateID(nil), n.PIs...),
+		POs:    append([]GateID(nil), n.POs...),
+		DFFs:   append([]GateID(nil), n.DFFs...),
+		names:  n.names,
+		byName: make(map[string]GateID, len(n.byName)+extra),
 	}
 	edges := 0
 	for i := range n.Gates {
@@ -399,6 +401,7 @@ func (n *Netlist) CloneGrow(extra int) *Netlist {
 	if n.topo != nil {
 		c.topo = append([]GateID(nil), n.topo...)
 	}
+	c.arena.Store(n.arena.Load())
 	return c
 }
 

@@ -91,6 +91,7 @@ func Sweep(n *netlist.Netlist) (*netlist.Netlist, Result, error) {
 // collapse to buffers. Repeats to a fixed point, then sweeps.
 func ConstProp(n *netlist.Netlist) (*netlist.Netlist, Result, error) {
 	work := n.Clone()
+	work.DropCompact() // gate fields are written directly below
 	res := Result{}
 	for {
 		changed, folded, err := constPropOnce(work)
@@ -428,6 +429,7 @@ func Simplify(n *netlist.Netlist) (*netlist.Netlist, Result, error) {
 // fanin list) so each unique function is computed once, then sweeps.
 func Dedup(n *netlist.Netlist) (*netlist.Netlist, Result, error) {
 	work := n.Clone()
+	work.DropCompact() // gate fields are written directly below
 	res := Result{}
 	dead := make([]bool, work.NumGates())
 	for {

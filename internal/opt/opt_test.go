@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cghti/internal/bench"
@@ -258,5 +259,45 @@ d = XOR(a, q)
 	}
 	if len(out.DFFs) != 1 {
 		t.Fatal("DFF lost")
+	}
+}
+
+// TestResultArenasMatchGates: every netlist a pass returns has an arena
+// form that matches its gates, also when the pass returns its working
+// clone unswept (here a folded AND whose constant input is itself an
+// output, and a duplicate output that becomes a buffer), whose gates it
+// wrote directly after cloning a netlist that already had an arena.
+func TestResultArenasMatchGates(t *testing.T) {
+	inputs := []*netlist.Netlist{
+		parse(t, "INPUT(a)\nOUTPUT(y)\nOUTPUT(one)\none = CONST1()\ny = AND(a, one)\n"),
+		parse(t, "INPUT(a)\nOUTPUT(y)\nOUTPUT(z)\ny = NOT(a)\nz = NOT(a)\n"),
+		parse(t, "INPUT(a)\nOUTPUT(y)\nb = BUFF(a)\ny = NOT(b)\n"),
+		gen.MustBenchmark("c432"),
+		gen.MustBenchmark("s298"),
+	}
+	passes := map[string]func(*netlist.Netlist) (*netlist.Netlist, Result, error){
+		"ConstProp": ConstProp, "CollapseBuffers": CollapseBuffers, "Dedup": Dedup,
+	}
+	for _, n := range inputs {
+		if _, err := n.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		for name, pass := range passes {
+			out, _, err := pass(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := out.Compact()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range out.Gates {
+				g, id := &out.Gates[i], netlist.GateID(i)
+				if c.NumGates() != out.NumGates() || c.TypeOf(id) != g.Type || c.IsPO(id) != g.IsPO ||
+					!slices.Equal(c.FaninOf(id), g.Fanin) || !slices.Equal(c.FanoutOf(id), g.Fanout) {
+					t.Fatalf("%s of %s: arena gate %d differs from the netlist's %q", name, n.Name, i, g.Name)
+				}
+			}
+		}
 	}
 }

@@ -52,9 +52,9 @@ const DefaultVectors = 10000
 // ~24% of all nodes rare at this setting).
 const DefaultThreshold = 0.20
 
-// DefaultBatchWords is the per-batch word count (64 patterns per word)
-// used when Config.BatchWords is 0: 16 words = 1024 patterns.
-const DefaultBatchWords = 16
+// batchWords is the number of 64-pattern words drawn per simulation
+// batch: 1 024 vectors.
+const batchWords = 16
 
 // Config parameterizes the extraction.
 type Config struct {
@@ -71,16 +71,6 @@ type Config struct {
 	// pattern word is simulated by the same kernels regardless of
 	// sharding.
 	Workers int
-	// BatchWords is the number of 64-pattern words simulated per batch
-	// (DefaultBatchWords if 0). Larger batches give the worker shards
-	// more room; note that changing the batch size changes which random
-	// vectors are drawn, so keep it fixed when reproducing a run.
-	BatchWords int
-	// IncludeInputs also scores primary inputs and DFF outputs as
-	// rare-node candidates. Off by default: the paper's trigger nodes
-	// are internal nets (gate outputs), and PIs have probability ~0.5
-	// under random vectors anyway.
-	IncludeInputs bool
 	// Progress, if non-nil, is called after each simulation batch with
 	// (vectors done, total vectors).
 	Progress func(done, total int)
@@ -92,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Threshold <= 0 {
 		c.Threshold = DefaultThreshold
-	}
-	if c.BatchWords <= 0 {
-		c.BatchWords = DefaultBatchWords
 	}
 	return c
 }
@@ -121,7 +108,9 @@ type Set struct {
 	Vectors int
 	// Threshold is the absolute count cutoff used (θ_RN · |V|).
 	Threshold int64
-	// TotalNodes is the number of candidate nodes scored.
+	// TotalNodes is the number of candidate nodes scored: every gate
+	// but the inputs, DFF outputs and constants. The paper's trigger
+	// nodes are internal nets (gate outputs).
 	TotalNodes int
 	// Ones[g] is the number of vectors on which gate g evaluated to 1
 	// (for every gate, not just rare ones) — the raw data behind
@@ -160,7 +149,9 @@ func ExtractContext(ctx context.Context, n *netlist.Netlist, cfg Config) (*Set, 
 	reg := obs.FromContext(ctx)
 	met := metersFor(reg)
 	met.extractions.Inc()
-	p, err := sim.AcquirePacked(n, cfg.BatchWords)
+	// A budget under one batch (|V| < 1 024) runs on an engine only as
+	// wide as the budget: |V| 512 simulates 8 words, not 16.
+	p, err := sim.AcquirePacked(n, min(batchWords, (cfg.Vectors+63)/64))
 	if err != nil {
 		return nil, err
 	}
@@ -168,6 +159,7 @@ func ExtractContext(ctx context.Context, n *netlist.Netlist, cfg Config) (*Set, 
 	p.SetWorkers(cfg.Workers)
 	p.SetRegistry(reg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	inputs := n.CombInputs()
 	ones := make([]int64, n.NumGates())
 	done := ctx.Done()
 	remaining := cfg.Vectors
@@ -180,11 +172,8 @@ func ExtractContext(ctx context.Context, n *netlist.Netlist, cfg Config) (*Set, 
 		if err := chaos.Hit(stage.RareExtract, 0); err != nil {
 			return partialSet(n, cfg, ones, cfg.Vectors-remaining, met), err
 		}
-		batch := 64 * cfg.BatchWords
-		if batch > remaining {
-			batch = remaining
-		}
-		p.Randomize(rng)
+		batch := min(64*batchWords, remaining)
+		draw(p, inputs, rng)
 		p.Run()
 		p.CountOnes(ones, batch)
 		remaining -= batch
@@ -196,6 +185,20 @@ func ExtractContext(ctx context.Context, n *netlist.Netlist, cfg Config) (*Set, 
 	s := buildSet(n, cfg, ones)
 	met.rareNodes.Set(int64(s.Len()))
 	return s, nil
+}
+
+// draw fills the engine's input words for one batch: batchWords random
+// words per input, in inputs order and word-ascending. An engine
+// narrower than a batch keeps the first words and discards the rest, so
+// the vectors never depend on the engine's width.
+func draw(p *sim.Packed, inputs []netlist.GateID, rng *rand.Rand) {
+	for _, id := range inputs {
+		for w := 0; w < batchWords; w++ {
+			if x := rng.Uint64(); w < p.Words() {
+				p.SetWord(id, w, x)
+			}
+		}
+	}
 }
 
 // partialSet thresholds an interrupted extraction over the vectors
@@ -221,14 +224,8 @@ func buildSet(n *netlist.Netlist, cfg Config, ones []int64) *Set {
 	}
 	total := int64(cfg.Vectors)
 	for i := range n.Gates {
-		g := &n.Gates[i]
-		switch g.Type {
-		case netlist.Const0, netlist.Const1:
+		if t := n.Gates[i].Type; t.IsSource() || t == netlist.DFF {
 			continue
-		case netlist.Input, netlist.DFF:
-			if !cfg.IncludeInputs {
-				continue
-			}
 		}
 		s.TotalNodes++
 		id := netlist.GateID(i)

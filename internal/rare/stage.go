@@ -59,16 +59,18 @@ func (s *ExtractStage) Validate(out pipeline.Artifact) error {
 
 // CacheConfig implements pipeline.Cacheable: exactly the knobs the
 // extracted set depends on. Workers is determinism-neutral (identical
-// output for any count) and excluded; BatchWords changes which random
-// vectors are drawn and is included.
+// output for any count) and excluded. The batch width and a false flag
+// (inputs are never scored) follow the knobs, so these bytes, and with
+// them every rare.extract.v1 fingerprint, are those of earlier
+// releases, which let both be set.
 func (s *ExtractStage) CacheConfig() []byte {
 	e := artifact.NewEnc()
 	e.String("rare.extract.v1")
 	e.Int(s.Cfg.Vectors)
 	e.F64(s.Cfg.Threshold)
 	e.Varint(s.Cfg.Seed)
-	e.Int(s.Cfg.BatchWords)
-	e.Bool(s.Cfg.IncludeInputs)
+	e.Int(batchWords)
+	e.Bool(false)
 	return e.Finish()
 }
 

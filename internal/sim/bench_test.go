@@ -16,10 +16,11 @@ func benchPackedSim(b *testing.B, name string, words, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := NewPackedWorkers(n, words, workers)
+	p, err := NewPacked(n, words)
 	if err != nil {
 		b.Fatal(err)
 	}
+	p.SetWorkers(workers)
 	p.Randomize(rand.New(rand.NewSource(1)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,16 +1,20 @@
 package sim
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
+	"cghti/internal/bench"
 	"cghti/internal/netlist"
 )
 
-// TestPackedCompactMatchesNetlist pins the Compact construction path:
-// an engine built from the arena form must produce bit-identical
-// simulation results to one built from the pointer form, including
-// Randomize draw order, Run values, Step latching and CountOnes.
+// TestPackedCompactMatchesNetlist pins the arena hand-over: an engine
+// for a parsed netlist, which compiles the parser's own arena, must
+// produce bit-identical simulation results to one for the same circuit
+// built gate by gate, whose arena is built from its gates — including
+// Randomize draw order, Run values, Step latching and CountOnes. The
+// parse renumbers the gates, so they are matched by name.
 func TestPackedCompactMatchesNetlist(t *testing.T) {
 	n := mkC17(t)
 	d := n.MustAddGate("ff", netlist.DFF)
@@ -22,18 +26,30 @@ func TestPackedCompactMatchesNetlist(t *testing.T) {
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	if err := bench.Write(&buf, n); err != nil {
+		t.Fatal(err)
+	}
+	c, err := bench.ParseStream(&buf, n.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := c.ToNetlist()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compactOf(t, parsed) != c {
+		t.Fatal("the parsed netlist does not hold the parser's arena")
+	}
 
 	const words = 4
 	pn, err := NewPacked(n, words)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := NewPackedCompact(netlist.CompactOf(n), words, 1)
+	pc, err := NewPacked(parsed, words)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if pc.Netlist() != nil {
-		t.Fatal("Compact-built engine should have a nil Netlist")
 	}
 
 	rngA := rand.New(rand.NewSource(7))
@@ -48,16 +64,17 @@ func TestPackedCompactMatchesNetlist(t *testing.T) {
 		pn.CountOnes(onesA, pn.Patterns())
 		pc.CountOnes(onesB, pc.Patterns())
 		for i := range n.Gates {
+			j := parsed.MustLookup(n.Gates[i].Name)
 			for w := 0; w < words; w++ {
-				if a, b := pn.Word(netlist.GateID(i), w), pc.Word(netlist.GateID(i), w); a != b {
-					t.Fatalf("round %d gate %d word %d: netlist %x, compact %x", round, i, w, a, b)
+				if a, b := pn.Word(netlist.GateID(i), w), pc.Word(j, w); a != b {
+					t.Fatalf("round %d gate %s word %d: built %x, parsed %x", round, n.Gates[i].Name, w, a, b)
 				}
 			}
 		}
 	}
-	for i := range onesA {
-		if onesA[i] != onesB[i] {
-			t.Fatalf("gate %d: CountOnes %d (netlist) vs %d (compact)", i, onesA[i], onesB[i])
+	for i := range n.Gates {
+		if j := parsed.MustLookup(n.Gates[i].Name); onesA[i] != onesB[j] {
+			t.Fatalf("gate %s: CountOnes %d (built) vs %d (parsed)", n.Gates[i].Name, onesA[i], onesB[j])
 		}
 	}
 }

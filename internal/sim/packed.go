@@ -87,7 +87,7 @@ const minShardWords = 8
 // rare-node work) or latched from their data input by Step (sequential
 // view).
 type Packed struct {
-	n       *netlist.Netlist // pooling identity; nil for Compact-built engines and while pooled
+	c       *netlist.Compact // the arena compiled from: pooling identity; nil while pooled
 	prog    *Program
 	slot    []int32 // caller gate -> program row; nil = identity
 	words   int
@@ -101,41 +101,21 @@ type Packed struct {
 }
 
 // NewPacked builds a serial simulator for n with the given number of
-// 64-pattern words (words >= 1). Use NewPackedWorkers or SetWorkers to
-// enable word-block sharding.
+// 64-pattern words (words >= 1); SetWorkers shards its Runs. The kernel
+// compiler reads n's arena form, and the compiled program comes from
+// the shared registry: if an engine for a structurally identical
+// netlist was built before, the op list is reused instead of
+// recompiled. AcquirePacked recycles engines instead of building one
+// per round.
 func NewPacked(n *netlist.Netlist, words int) (*Packed, error) {
-	return NewPackedWorkers(n, words, 1)
-}
-
-// NewPackedWorkers builds a simulator that shards Run across up to
-// workers goroutines (1 = serial, 0 = GOMAXPROCS). Results are
-// bit-identical for any worker count: distinct pattern words are fully
-// independent, and each word is computed by exactly the same kernel
-// sequence regardless of which shard owns it.
-func NewPackedWorkers(n *netlist.Netlist, words, workers int) (*Packed, error) {
-	if err := n.Levelize(); err != nil {
-		return nil, err
-	}
-	// The kernel compiler consumes the arena form; the conversion is a
-	// one-time O(gates+wires) flattening, amortized by engine pooling
-	// and by the shared-program registry (a structure seen before skips
-	// the compile entirely).
-	p, err := NewPackedCompact(netlist.CompactOf(n), words, workers)
+	c, err := n.Compact()
 	if err != nil {
 		return nil, err
 	}
-	p.n = n
-	return p, nil
+	return newPacked(c, words)
 }
 
-// NewPackedCompact builds a simulator directly from the arena form —
-// the construction path for streamed million-gate netlists, which never
-// materialize a pointer-form Netlist. The compiled program comes from
-// the shared registry: if an engine for a structurally identical
-// netlist was built before, the op list is reused instead of
-// recompiled. Engines built this way are not recycled by AcquirePacked
-// (pool identity is the *Netlist).
-func NewPackedCompact(c *netlist.Compact, words, workers int) (*Packed, error) {
+func newPacked(c *netlist.Compact, words int) (*Packed, error) {
 	if words < 1 {
 		return nil, fmt.Errorf("sim: words must be >= 1, got %d", words)
 	}
@@ -144,6 +124,7 @@ func NewPackedCompact(c *netlist.Compact, words, workers int) (*Packed, error) {
 		return nil, err
 	}
 	p := &Packed{
+		c:      c,
 		prog:   prog,
 		slot:   slot,
 		words:  words,
@@ -159,14 +140,14 @@ func NewPackedCompact(c *netlist.Compact, words, workers int) (*Packed, error) {
 			p.dffSrc[i] = fanin[0]
 		}
 	}
-	p.SetWorkers(workers)
+	p.SetWorkers(1)
 	return p, nil
 }
 
 // Close releases the engine's reference on its shared program. The
 // engine must not be used afterwards. Optional but recommended for
-// engines that bypass the pool: unreferenced programs are preferred
-// when the registry evicts. Safe to call twice or on nil.
+// engines not handed to ReleasePacked: unreferenced programs are
+// preferred when the registry evicts. Safe to call twice or on nil.
 func (p *Packed) Close() {
 	if p == nil || p.closed {
 		return
@@ -192,11 +173,10 @@ func (p *Packed) Words() int { return p.words }
 // Patterns returns the number of patterns simulated per Run (64 * Words).
 func (p *Packed) Patterns() int { return 64 * p.words }
 
-// Netlist returns the netlist the engine was compiled for; nil when the
-// engine was built from the arena form via NewPackedCompact.
-func (p *Packed) Netlist() *netlist.Netlist { return p.n }
-
 // SetWorkers sets the Run goroutine budget (1 = serial, 0 = GOMAXPROCS).
+// Results are bit-identical for any budget: distinct pattern words are
+// fully independent, and each word is computed by exactly the same
+// kernel sequence regardless of which shard owns it.
 func (p *Packed) SetWorkers(workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -12,10 +12,11 @@ import (
 // the given worker count and returns every gate's words.
 func runWithWorkers(t *testing.T, n *netlist.Netlist, words, workers int, seed int64) []uint64 {
 	t.Helper()
-	p, err := NewPackedWorkers(n, words, workers)
+	p, err := NewPacked(n, words)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.SetWorkers(workers)
 	p.Randomize(rand.New(rand.NewSource(seed)))
 	p.Run()
 	out := make([]uint64, n.NumGates()*words)

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 	"weak"
 
+	"cghti/internal/bench"
 	"cghti/internal/netlist"
 )
 
@@ -104,15 +106,16 @@ func TestPoolRoundTripStillShares(t *testing.T) {
 	}
 }
 
-// TestPoolLetsNetlistsDie: the pool must not keep a netlist alive. An
-// engine acquired and released for a netlist that is then dropped must
-// not stop its collection, and once it is collected the pool forgets
-// it and closes its idle engines, releasing their program leases.
+// TestPoolLetsNetlistsDie: the pool must not keep a netlist or its
+// arena alive. An engine acquired and released for a netlist that is
+// then dropped must not stop the collection of its arena, and once the
+// arena is collected the pool forgets it and closes its idle engines,
+// releasing their program leases.
 func TestPoolLetsNetlistsDie(t *testing.T) {
 	DrainPackedPool()
 	DrainProgramRegistry()
 	_, refs0 := SharedProgramStats()
-	key := func() netKey {
+	key := func() arenaKey {
 		n := mkC17(t)
 		a, err := AcquirePacked(n, 2)
 		if err != nil {
@@ -127,7 +130,7 @@ func TestPoolLetsNetlistsDie(t *testing.T) {
 		if _, refs := SharedProgramStats(); refs != refs0+2 {
 			t.Fatalf("refs = %d with two pooled engines, want %d", refs, refs0+2)
 		}
-		return weak.Make(n)
+		return weak.Make(compactOf(t, n))
 	}()
 
 	pooled := func() bool {
@@ -141,12 +144,51 @@ func TestPoolLetsNetlistsDie(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if key.Value() != nil {
-		t.Fatal("netlist still reachable after its engines were released to the pool")
+		t.Fatal("arena still reachable after its engines were released to the pool")
 	}
 	if pooled() {
-		t.Fatal("pool still holds an entry for a collected netlist")
+		t.Fatal("pool still holds an entry for a collected arena")
 	}
 	if _, refs := SharedProgramStats(); refs != refs0 {
 		t.Fatalf("refs = %d after the netlist died, want %d (idle engines not closed)", refs, refs0)
+	}
+}
+
+// TestPoolSharedByClones: clones of one parsed netlist share its arena,
+// so an engine released for one is a pool hit for the next; a clone
+// that was mutated has a new arena and gets a fresh engine.
+func TestPoolSharedByClones(t *testing.T) {
+	DrainPackedPool()
+	var buf bytes.Buffer
+	if err := bench.Write(&buf, mkC17(t)); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := bench.ParseString(buf.String(), "c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := AcquirePacked(parsed.Clone(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ReleasePacked(p)
+	p2, err := AcquirePacked(parsed.Clone(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2 != p {
+		t.Fatal("a second clone of one parsed netlist missed the pool")
+	}
+	ReleasePacked(p2)
+
+	mutated := parsed.Clone()
+	mutated.MarkPO(mutated.MustLookup("16"))
+	p3, err := AcquirePacked(mutated, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ReleasePacked(p3)
+	if p3 == p {
+		t.Fatal("a mutated clone got the engine pooled for its source's arena")
 	}
 }

@@ -73,8 +73,8 @@ func TestStructHashInvariance(t *testing.T) {
 			t.Logf("clone invalid: %v", err)
 			return false
 		}
-		h1, err1 := StructHash(netlist.CompactOf(n))
-		h2, err2 := StructHash(netlist.CompactOf(clone))
+		h1, err1 := StructHash(compactOf(t, n))
+		h2, err2 := StructHash(compactOf(t, clone))
 		if err1 != nil || err2 != nil || h1 != h2 {
 			t.Logf("hash mismatch: %x vs %x (%v %v)", h1, h2, err1, err2)
 			return false
@@ -122,7 +122,7 @@ func TestStructHashInvariance(t *testing.T) {
 // wrong logic otherwise).
 func TestStructHashSensitivity(t *testing.T) {
 	n := gen.MustBenchmark("c432")
-	h1, err := StructHash(netlist.CompactOf(n))
+	h1, err := StructHash(compactOf(t, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,8 @@ func TestStructHashSensitivity(t *testing.T) {
 		}
 		orig := n.Gates[g].Type
 		n.Gates[g].Type = swapped
-		h2, err := StructHash(netlist.CompactOf(n))
+		n.DropCompact()
+		h2, err := StructHash(compactOf(t, n))
 		n.Gates[g].Type = orig
 		if err != nil {
 			t.Fatal(err)
@@ -168,8 +169,8 @@ func FuzzStructHash(f *testing.F) {
 		n := gen.MustBenchmark(name)
 		rng := rand.New(rand.NewSource(seed))
 		clone, _ := permClone(n, rng)
-		h1, err1 := StructHash(netlist.CompactOf(n))
-		h2, err2 := StructHash(netlist.CompactOf(clone))
+		h1, err1 := StructHash(compactOf(t, n))
+		h2, err2 := StructHash(compactOf(t, clone))
 		if err1 != nil || err2 != nil {
 			t.Fatalf("StructHash errored: %v / %v", err1, err2)
 		}
@@ -186,7 +187,8 @@ func FuzzStructHash(f *testing.F) {
 			default:
 				continue
 			}
-			h3, err := StructHash(netlist.CompactOf(clone))
+			clone.DropCompact()
+			h3, err := StructHash(compactOf(t, clone))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,11 +208,11 @@ func TestSharedProgramDedupe(t *testing.T) {
 	DrainProgramRegistry()
 	n := mkC17(t)
 	hits0 := sharedHits.Value()
-	p1, err := NewPackedCompact(netlist.CompactOf(n), 2, 1)
+	p1, err := NewPacked(n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := NewPackedCompact(netlist.CompactOf(n), 4, 1)
+	p2, err := NewPacked(n, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +243,7 @@ func TestSharedProgramEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < maxSharedPrograms+8; i++ {
 		n := randomNetlist(rng, 4, 12+i) // distinct sizes -> distinct structures
-		p, err := NewPackedCompact(netlist.CompactOf(n), 1, 1)
+		p, err := NewPacked(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,8 +265,8 @@ func TestSharedProgramEviction(t *testing.T) {
 // bit-identical to the serial run on a netlist big enough to engage it.
 func TestLevelBands(t *testing.T) {
 	n := gen.MustBenchmark("c880")
-	c := netlist.CompactOf(n)
-	p, err := NewPackedCompact(c, 1, 1)
+	c := compactOf(t, n)
+	p, err := NewPacked(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,10 +310,11 @@ func TestLevelParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer serial.Close()
-	par, err := NewPackedWorkers(n, 1, 4)
+	par, err := NewPacked(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	par.SetWorkers(4)
 	defer par.Close()
 	if len(par.Program().ops) < levelParMinOps {
 		t.Skipf("program too small (%d ops) to engage level parallelism", len(par.Program().ops))
@@ -329,4 +332,14 @@ func TestLevelParallelBitIdentical(t *testing.T) {
 			t.Fatalf("gate %d differs between serial and level-parallel run", g)
 		}
 	}
+}
+
+// compactOf returns n's arena form.
+func compactOf(tb testing.TB, n *netlist.Netlist) *netlist.Compact {
+	tb.Helper()
+	c, err := n.Compact()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }

@@ -10,7 +10,6 @@ import (
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
 	"cghti/internal/rare"
-	"cghti/internal/scoap"
 	"cghti/internal/sim"
 	"cghti/internal/stage"
 )
@@ -150,7 +149,7 @@ type inserter struct {
 // newInserter analyzes base for instance insertion, levelizing it if
 // needed.
 func newInserter(base *netlist.Netlist) (*inserter, error) {
-	m, err := scoap.Compute(base)
+	m, err := base.SCOAP()
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +431,7 @@ func (in *inserter) usable(v netlist.GateID, trigSet map[netlist.GateID]bool) bo
 	if len(g.Fanout) == 0 && !g.IsPO {
 		return false
 	}
-	return in.co[v] < scoap.Inf
+	return in.co[v] < netlist.SCOAPInf
 }
 
 // loopSafe reports whether no trigger node of the last

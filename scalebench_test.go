@@ -125,7 +125,10 @@ func BenchmarkScaleToNetlist(b *testing.B) {
 func BenchmarkScaleLevelize(b *testing.B) {
 	for _, pt := range scalePoints {
 		b.Run(pt.label, func(b *testing.B) {
-			c := cghti.CompactOf(socNet(b, pt.gates))
+			c, err := socNet(b, pt.gates).Compact()
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// A fresh un-levelized shell per iteration (shared
@@ -178,13 +181,22 @@ func BenchmarkScaleRareExtract(b *testing.B) {
 // BenchmarkScaleCubeGen is the cube layer at scale: PODEM analysis of
 // the whole SoC plus justification of its 32 rarest nodes on two
 // workers, with the scale path's backtrack cap. Each iteration is one
-// BuildCubes call, so -cpuprofile/-memprofile attribute the layer's
-// time and allocation directly.
+// BuildCubes call on a freshly parsed netlist (parsed outside the
+// timer), so every iteration pays the analysis, SCOAP included, which a
+// reused netlist would hold from the first; -cpuprofile/-memprofile
+// attribute the layer's time and allocation directly.
 func BenchmarkScaleCubeGen(b *testing.B) {
 	for _, pt := range scalePoints {
 		b.Run(pt.label, func(b *testing.B) {
-			n := socNet(b, pt.gates)
-			rs, err := rare.Extract(n, rare.Config{Vectors: 512, Threshold: 0.08, Seed: 1})
+			text := socText(b, pt.gates)
+			parse := func() *netlist.Netlist {
+				n, err := cghti.ParseBenchString(string(text), "soc")
+				if err != nil {
+					b.Fatal(err)
+				}
+				return n
+			}
+			rs, err := rare.Extract(parse(), rare.Config{Vectors: 512, Threshold: 0.08, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -192,6 +204,9 @@ func BenchmarkScaleCubeGen(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				n := parse()
+				b.StartTimer()
 				g, err := compat.BuildCubes(context.Background(), n, rs, cfg)
 				if err != nil {
 					b.Fatal(err)
