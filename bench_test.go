@@ -504,7 +504,7 @@ func BenchmarkTriggerInsertion(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			st := trojan.NewInsertStage(trojan.InsertSpec{Seed: cfg.Seed}, tc.instances)
+			st := trojan.NewInsertStage(trojan.InsertSpec{Seed: cfg.Seed}, tc.instances, cfg.Workers)
 			inputs := []pipeline.Artifact{n, res.Graph, res.Cliques}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -120,8 +120,9 @@ type Config struct {
 	// Seed makes the whole pipeline deterministic.
 	Seed int64
 	// Workers is the goroutine budget for the parallel stages (rare-node
-	// simulation, PODEM cube generation, pairwise edges). 1 = serial,
-	// 0 = GOMAXPROCS. The pipeline output is identical for any value.
+	// simulation, PODEM cube generation, pairwise edges, instance
+	// insertion). 1 = serial, 0 = GOMAXPROCS. The pipeline output is
+	// identical for any value.
 	Workers int
 	// Partitions splits the netlist into this many fanout-cone
 	// partitions that own the compatibility graph's vertices: the graph
@@ -460,7 +461,7 @@ func GenerateContext(ctx context.Context, n *Netlist, cfg Config) (*Result, erro
 		Trigger: trojan.TriggerSpec{ActiveLow: cfg.ActiveLow, FaninK: cfg.FaninK},
 		Payload: cfg.Payload,
 		Seed:    cfg.Seed,
-	}, cfg.Instances), StageLevelize, StageGraphEdges, StageCliqueMine)
+	}, cfg.Instances, cfg.Workers), StageLevelize, StageGraphEdges, StageCliqueMine)
 
 	pres, err := g.Run(ctx, env)
 	if err != nil {

@@ -2,12 +2,20 @@ package cghti
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"hash"
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"cghti/internal/chaos"
+	"cghti/internal/compat"
+	"cghti/internal/pipeline"
 	"cghti/internal/trojan"
 )
 
@@ -99,7 +107,8 @@ func checkInsertDigest(t *testing.T, key string, h hash.Hash) {
 // every payload kind and both trigger polarities (one artifact cache per
 // circuit, so only the first run computes the upstream stages), plus one
 // insertion with a pinned victim, and compares the emitted bytes with
-// the recorded digests.
+// the recorded digests. Every row runs serially and on 3 workers, which
+// split the 4 instances unevenly; both must match the digest.
 func TestInsertDigests(t *testing.T) {
 	payloads := []trojan.PayloadKind{trojan.PayloadFlip, trojan.PayloadLeakToOutput, trojan.PayloadForce}
 	for _, c := range insertDigestCircuits {
@@ -110,29 +119,31 @@ func TestInsertDigests(t *testing.T) {
 			}
 			cache := NewCache(0, 0)
 			var first *Result
-			for _, payload := range payloads {
-				for _, low := range []bool{false, true} {
-					cfg := insertDigestConfig(c.partitions)
-					cfg.Payload, cfg.ActiveLow, cfg.Cache = payload, low, cache
-					res, err := Generate(n, cfg)
-					if err != nil {
-						t.Fatal(err)
+			for _, workers := range []int{1, 3} {
+				for _, payload := range payloads {
+					for _, low := range []bool{false, true} {
+						cfg := insertDigestConfig(c.partitions)
+						cfg.Payload, cfg.ActiveLow, cfg.Cache, cfg.Workers = payload, low, cache, workers
+						res, err := Generate(n, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(res.Benchmarks) == 0 {
+							t.Fatal("no instances emitted")
+						}
+						if first == nil {
+							first = res
+						}
+						h := sha256.New()
+						for _, b := range res.Benchmarks {
+							hashInstance(t, h, b.Netlist, b.Instance)
+						}
+						pol := "high"
+						if low {
+							pol = "low"
+						}
+						checkInsertDigest(t, fmt.Sprintf("%s/%v/%s", c.name, payload, pol), h)
 					}
-					if len(res.Benchmarks) == 0 {
-						t.Fatal("no instances emitted")
-					}
-					if first == nil {
-						first = res
-					}
-					h := sha256.New()
-					for _, b := range res.Benchmarks {
-						hashInstance(t, h, b.Netlist, b.Instance)
-					}
-					pol := "high"
-					if low {
-						pol = "low"
-					}
-					checkInsertDigest(t, fmt.Sprintf("%s/%v/%s", c.name, payload, pol), h)
 				}
 			}
 			if c.name != "c2670" {
@@ -151,4 +162,94 @@ func TestInsertDigests(t *testing.T) {
 			checkInsertDigest(t, "c2670/pinned", h)
 		})
 	}
+}
+
+// instanceBytes renders inserted instances as their .bench text plus
+// victim, payload gate, trigger output and added gates.
+func instanceBytes(t *testing.T, ins []trojan.Inserted) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(ins))
+	for i, x := range ins {
+		h := sha256.New()
+		hashInstance(t, h, x.Netlist, x.Instance)
+		out[i] = h.Sum(nil)
+	}
+	return out
+}
+
+// TestInsertSalvagePrefix: when instances fail on a worker pool, the
+// insert stage returns exactly the instances before the lowest failing
+// index, byte-identical to the serial run's, and its error names that
+// index. Failures are made two ways: cliques emptied at fixed indices
+// (deterministic), and an injected error on whichever instance reaches
+// the third victim candidate first.
+func TestInsertSalvagePrefix(t *testing.T) {
+	n, err := Circuit("c2670")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const instances = 6
+	cfg := insertDigestConfig(1)
+	cfg.Instances, cfg.MinTriggerNodes = instances, 2
+	res, err := Generate(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cliques) < instances {
+		t.Fatalf("mined %d cliques, want >= %d", len(res.Cliques), instances)
+	}
+	run := func(workers int, cliques []compat.Clique) ([]trojan.Inserted, error) {
+		st := trojan.NewInsertStage(trojan.InsertSpec{Seed: cfg.Seed}, instances, workers)
+		out, err := st.Run(context.Background(), &pipeline.Env{}, []pipeline.Artifact{n, res.Graph, cliques})
+		ins, _ := out.([]trojan.Inserted)
+		return ins, err
+	}
+	serial, err := run(1, res.Cliques)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := instanceBytes(t, serial)
+	index := regexp.MustCompile(`^cghti: instance (\d+): `)
+	checkPrefix := func(t *testing.T, got []trojan.Inserted, err error) int {
+		t.Helper()
+		m := index.FindStringSubmatch(errText(err))
+		if m == nil {
+			t.Fatalf("error %v names no instance", err)
+		}
+		if m[1] != strconv.Itoa(len(got)) {
+			t.Fatalf("error names instance %s, but %d instances were returned", m[1], len(got))
+		}
+		if gb := instanceBytes(t, got); !reflect.DeepEqual(gb, want[:len(got)]) {
+			t.Fatal("salvaged instances are not the serial run's prefix")
+		}
+		return len(got)
+	}
+
+	t.Run("emptyCliques", func(t *testing.T) {
+		cliques := append([]compat.Clique(nil), res.Cliques...)
+		cliques[2], cliques[4] = compat.Clique{}, compat.Clique{}
+		for _, workers := range []int{1, 3} {
+			got, err := run(workers, cliques)
+			if k := checkPrefix(t, got, err); k != 2 {
+				t.Fatalf("workers %d: %d instances salvaged, want 2", workers, k)
+			}
+		}
+	})
+	t.Run("injected", func(t *testing.T) {
+		chaos.Install(chaos.Spec{Stage: StageInsert, Worker: chaos.AnyWorker, Kind: chaos.Error, OnHit: 3})
+		defer chaos.Uninstall()
+		got, err := run(3, res.Cliques)
+		var inj *chaos.Injected
+		if !errors.As(err, &inj) {
+			t.Fatalf("error %v is not the injected fault", err)
+		}
+		checkPrefix(t, got, err)
+	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -613,6 +614,27 @@ func TestPlanesMatchFullSimulation(t *testing.T) {
 				_, res := e.Detect(target, v)
 				check("detect "+res.String(), target, true, sim.V3(v))
 			}
+		}
+	}
+}
+
+// TestAnalyzeWorkersMatchSerial: with a worker budget the observation
+// distances are computed beside SCOAP; the analysis must equal the
+// serial one, on a combinational and a sequential circuit, on fresh
+// netlists so SCOAP is computed during the overlap.
+func TestAnalyzeWorkersMatchSerial(t *testing.T) {
+	for _, name := range []string{"c2670", "s1423"} {
+		serial, err := Analyze(gen.MustBenchmark(name), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := Analyze(gen.MustBenchmark(name), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(par.obsDist, serial.obsDist) || !reflect.DeepEqual(par.topoPos, serial.topoPos) ||
+			!reflect.DeepEqual(par.inputPos, serial.inputPos) || !reflect.DeepEqual(*par.sc, *serial.sc) {
+			t.Fatalf("%s: the analysis at 2 workers differs from the serial one", name)
 		}
 	}
 }

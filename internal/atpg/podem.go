@@ -159,10 +159,10 @@ type Stats struct {
 	Implies    int64
 }
 
-// NewEngine prepares a PODEM engine for n: Analyze followed by
-// Analysis.NewEngine.
+// NewEngine prepares a PODEM engine for n: a serial Analyze followed
+// by Analysis.NewEngine.
 func NewEngine(n *netlist.Netlist) (*Engine, error) {
-	a, err := Analyze(n)
+	a, err := Analyze(n, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -170,14 +170,11 @@ func NewEngine(n *netlist.Netlist) (*Engine, error) {
 }
 
 // Analyze computes the read-only PODEM analysis of n, levelizing it if
-// needed. n must not be mutated while the analysis or any engine built
-// from it is in use.
-func Analyze(n *netlist.Netlist) (*Analysis, error) {
+// needed. With a worker budget above 1 the observation distances are
+// computed on their own goroutine while SCOAP runs. n must not be
+// mutated while the analysis or any engine built from it is in use.
+func Analyze(n *netlist.Netlist, workers int) (*Analysis, error) {
 	topo, err := n.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	sc, err := n.SCOAP()
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +184,23 @@ func Analyze(n *netlist.Netlist) (*Analysis, error) {
 		inputPos: make([]int32, len(n.Gates)),
 		topo:     topo,
 		topoPos:  make([]int32, len(n.Gates)),
-		sc:       sc,
+	}
+	var obsDone chan struct{}
+	if workers > 1 {
+		obsDone = make(chan struct{})
+		go func() {
+			defer close(obsDone)
+			a.computeObsDist()
+		}()
+	}
+	a.sc, err = n.SCOAP()
+	if obsDone != nil {
+		<-obsDone
+	} else {
+		a.computeObsDist()
+	}
+	if err != nil {
+		return nil, err
 	}
 	for i := range a.inputPos {
 		a.inputPos[i] = -1
@@ -198,7 +211,6 @@ func Analyze(n *netlist.Netlist) (*Analysis, error) {
 	for i, id := range topo {
 		a.topoPos[id] = int32(i)
 	}
-	a.computeObsDist()
 	return a, nil
 }
 
@@ -244,9 +256,8 @@ func (a *Analysis) computeObsDist() {
 	for _, id := range n.CombOutputs() {
 		push(id, 0)
 	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		id := queue[head]
 		d := a.obsDist[id] + 1
 		for _, f := range n.Gates[id].Fanin {
 			if n.Gates[id].Type == netlist.DFF {

@@ -10,7 +10,9 @@ import (
 // parser must accept exactly the inputs referenceParse accepts, with
 // byte-identical Write output. Any input that parses must also survive
 // a write/re-parse round trip, since the generated HT benchmarks are
-// emitted through Write and read back by downstream tools.
+// emitted through Write and read back by downstream tools. Parsed in
+// tiny blocks, every input must give the same arena or the same error
+// text as in one block.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		// Minimal valid circuit.
@@ -56,6 +58,17 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		n, err := referenceParse(strings.NewReader(src), "fuzz")
 		c, serr := ParseStream(strings.NewReader(src), "fuzz")
+		for _, size := range testBlockSizes {
+			cs, berr := parseStream(strings.NewReader(src), "fuzz", size)
+			if errText(berr) != errText(serr) {
+				t.Fatalf("block size %d: error %q, one block: %q\n%s", size, errText(berr), errText(serr), src)
+			}
+			if serr == nil {
+				if d := arenaDiff(cs, c); d != "" {
+					t.Fatalf("block size %d: %s differs from the one-block parse\n%s", size, d, src)
+				}
+			}
+		}
 		if err != nil {
 			// ParseStream must reject exactly the inputs the reference
 			// rejects (messages may differ).

@@ -18,6 +18,9 @@ import (
 // ParseStream and with the reference parser and requires identical
 // structure and byte-identical re-emitted text: same gate IDs, names,
 // types, port order, fanout order, PO/DFF lists and topological order.
+// Parsed again in tiny blocks, where lines straddle blocks and the
+// interner runs on its own goroutine, each circuit must give the same
+// arena.
 func TestParseStreamEquivalence(t *testing.T) {
 	for _, name := range gen.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -61,6 +64,15 @@ func TestParseStreamEquivalence(t *testing.T) {
 			}
 			if gotText := bench.String(got); gotText != text {
 				t.Fatalf("re-emitted text not byte-identical:\n--- reference ---\n%s\n--- ParseStream ---\n%s", text, gotText)
+			}
+			for _, size := range bench.TestBlockSizes {
+				cs, err := bench.ParseStreamSize(strings.NewReader(text), name, size)
+				if err != nil {
+					t.Fatalf("block size %d: %v", size, err)
+				}
+				if d := bench.ArenaDiff(cs, c); d != "" {
+					t.Fatalf("block size %d: %s differs from the %d-byte-block parse", size, d, bench.BlockSize)
+				}
 			}
 		})
 	}

@@ -182,7 +182,7 @@ func BuildCubes(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg Build
 		}
 	}
 	// One analysis of the netlist serves every engine of the run.
-	an, err := atpg.Analyze(n)
+	an, err := atpg.Analyze(n, workers)
 	if err != nil {
 		return nil, err
 	}

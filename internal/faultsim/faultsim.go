@@ -63,10 +63,11 @@ type Simulator struct {
 	isOut []bool  // combinational outputs
 	words int
 
-	good   []uint64 // good-circuit image, shared read-only by forks
-	bad    []uint64 // faulty values, valid on the current cone only
-	inCone []bool   // scratch: marks of the current fault's cone
-	cone   []int32  // scratch: topo places of the current fault's cone
+	good     []uint64       // good-circuit image, shared read-only by forks
+	bad      []uint64       // faulty values, valid on the current cone only
+	inCone   []bool         // scratch: marks of the current fault's cone
+	cone     []int32        // scratch: topo places of the last fault's cone, sorted after the site
+	coneSite netlist.GateID // the site cone belongs to
 }
 
 // NewSimulator builds a fault simulator with the given pattern-word
@@ -100,14 +101,15 @@ func (s *Simulator) Patterns() int { return 64 * s.words }
 // patterns on the parent only, while no fork is simulating.
 func (s *Simulator) Fork() *Simulator {
 	return &Simulator{
-		n:      s.n,
-		topo:   s.topo,
-		pos:    s.pos,
-		isOut:  s.isOut,
-		words:  s.words,
-		good:   s.good,
-		bad:    make([]uint64, len(s.n.Gates)*s.words),
-		inCone: make([]bool, len(s.n.Gates)),
+		n:        s.n,
+		topo:     s.topo,
+		pos:      s.pos,
+		isOut:    s.isOut,
+		words:    s.words,
+		good:     s.good,
+		bad:      make([]uint64, len(s.n.Gates)*s.words),
+		inCone:   make([]bool, len(s.n.Gates)),
+		coneSite: netlist.InvalidGate,
 	}
 }
 
@@ -134,19 +136,29 @@ func (s *Simulator) DetectMask(f Fault) []uint64 {
 	n, W := s.n, s.words
 
 	// Collect the fault's transitive fanout (DFFs end it) as topo
-	// places: only those gates can differ from the good circuit.
-	cone := append(s.cone[:0], s.pos[f.Site])
-	s.inCone[f.Site] = true
-	for i := 0; i < len(cone); i++ {
-		for _, o := range n.Gates[s.topo[cone[i]]].Fanout {
-			if !s.inCone[o] && n.Gates[o].Type != netlist.DFF {
-				s.inCone[o] = true
-				cone = append(cone, s.pos[o])
+	// places: only those gates can differ from the good circuit. A
+	// site's two faults are listed next to each other, so the cone is
+	// often the last one's, which needs only its marks again.
+	cone := s.cone
+	if f.Site == s.coneSite {
+		for _, p := range cone {
+			s.inCone[s.topo[p]] = true
+		}
+	} else {
+		cone = append(cone[:0], s.pos[f.Site])
+		s.inCone[f.Site] = true
+		for i := 0; i < len(cone); i++ {
+			for _, o := range n.Gates[s.topo[cone[i]]].Fanout {
+				if !s.inCone[o] && n.Gates[o].Type != netlist.DFF {
+					s.inCone[o] = true
+					cone = append(cone, s.pos[o])
+				}
 			}
 		}
+		// The site precedes everything downstream of it; order the rest.
+		slices.Sort(cone[1:])
+		s.cone, s.coneSite = cone, f.Site
 	}
-	// The site precedes everything downstream of it; order the rest.
-	slices.Sort(cone[1:])
 
 	var fill uint64
 	if f.StuckAt == 1 {
@@ -171,7 +183,6 @@ func (s *Simulator) DetectMask(f Fault) []uint64 {
 		}
 		s.inCone[id] = false
 	}
-	s.cone = cone
 	return mask
 }
 

@@ -68,10 +68,14 @@ func NewNameTable(names, arena int) *NameTable {
 // Len returns the number of distinct names interned so far.
 func (t *NameTable) Len() int { return len(t.off) - 1 }
 
-// Intern returns name's slot, adding it on first mention. name is
-// copied, so the caller may reuse its buffer.
-func (t *NameTable) Intern(name []byte) int32 {
-	tag := uint32(maphash.Bytes(t.seed, name))
+// Tag returns name's table tag, the value Intern takes with it. It
+// reads only the table's seed, so a reader may compute tags on one
+// goroutine while another interns.
+func (t *NameTable) Tag(name []byte) uint32 { return uint32(maphash.Bytes(t.seed, name)) }
+
+// Intern returns name's slot, adding it on first mention; tag is
+// Tag(name). name is copied, so the caller may reuse its buffer.
+func (t *NameTable) Intern(name []byte, tag uint32) int32 {
 	mask := uint32(len(t.table) - 1)
 	i := tag & mask
 	for e := t.table[i]; e != 0; e = t.table[i] {

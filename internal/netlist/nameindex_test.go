@@ -242,7 +242,7 @@ func FuzzNameIndex(f *testing.F) {
 		tab := NewNameTable(0, 0)
 		var distinct []string
 		for _, name := range names {
-			s := tab.Intern([]byte(name))
+			s := tab.Intern([]byte(name), tab.Tag([]byte(name)))
 			if int(s) == len(distinct) {
 				distinct = append(distinct, name)
 			}

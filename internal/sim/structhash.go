@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 
 	"cghti/internal/netlist"
 )
@@ -98,7 +98,7 @@ func gateHashes(c *netlist.Compact) ([]uint64, error) {
 			for _, f := range fanin {
 				scratch = append(scratch, h[f])
 			}
-			sort.Slice(scratch, func(a, b int) bool { return scratch[a] < scratch[b] })
+			slices.Sort(scratch)
 			for _, fh := range scratch {
 				g = hcombine(g, fh)
 			}

@@ -122,7 +122,7 @@ func InsertInstanceContext(ctx context.Context, n *netlist.Netlist, nodes []rare
 	if err != nil {
 		return nil, nil, err
 	}
-	return in.insert(ctx, nodes, cube, index, spec)
+	return in.insert(ctx, nodes, cube, index, spec, 0)
 }
 
 // inserter splices trojan instances into one golden netlist. It holds
@@ -130,8 +130,9 @@ func InsertInstanceContext(ctx context.Context, n *netlist.Netlist, nodes []rare
 // order and each gate's place in it, the combinational inputs and
 // outputs — plus word and walk scratch, so an instance costs one copy
 // and one levelization of the netlist however many victim candidates
-// it tries. An inserter is not safe for concurrent use, and its base
-// netlist must not change while the inserter is in use.
+// it tries. An inserter is not safe for concurrent use (fork one per
+// goroutine), and its base netlist must not change while the inserter
+// is in use.
 type inserter struct {
 	base    *netlist.Netlist
 	co      []int64          // SCOAP CO, indexed by GateID
@@ -174,8 +175,24 @@ func newInserter(base *netlist.Netlist) (*inserter, error) {
 	}, nil
 }
 
-// insert is InsertInstanceContext on the inserter's base netlist.
-func (in *inserter) insert(ctx context.Context, nodes []rare.Node, cube atpg.Cube, index int, spec InsertSpec) (*netlist.Netlist, *Instance, error) {
+// fork returns an inserter that shares in's read-only analysis and owns
+// its own scratch, so the two can insert concurrently.
+func (in *inserter) fork() *inserter {
+	return &inserter{
+		base:    in.base,
+		co:      in.co,
+		topo:    in.topo,
+		pos:     in.pos,
+		inputs:  in.inputs,
+		outputs: in.outputs,
+		golden:  make([]uint64, len(in.outputs)),
+		reach:   make([]uint32, len(in.base.Gates)),
+	}
+}
+
+// insert is InsertInstanceContext on the inserter's base netlist, run by
+// worker w.
+func (in *inserter) insert(ctx context.Context, nodes []rare.Node, cube atpg.Cube, index int, spec InsertSpec, w int) (*netlist.Netlist, *Instance, error) {
 	spec = spec.withDefaults()
 	if len(nodes) == 0 {
 		return nil, nil, fmt.Errorf("trojan: empty trigger-node set")
@@ -229,7 +246,7 @@ func (in *inserter) insert(ctx context.Context, nodes []rare.Node, cube atpg.Cub
 			return nil, nil, ctx.Err()
 		default:
 		}
-		if err := chaos.Hit(stage.Insert, 0); err != nil {
+		if err := chaos.Hit(stage.Insert, w); err != nil {
 			return nil, nil, err
 		}
 		if !spotCheck || in.observable(out, v, trigOut, ptype, cube, rng) {

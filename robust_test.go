@@ -27,9 +27,20 @@ func robustCircuit(t *testing.T) *Netlist {
 // context.Canceled, and carrying the partial trace.
 func TestGenerateCancelMidStage(t *testing.T) {
 	n := robustCircuit(t)
-	stages := []string{StageRareExtract, StageCubeGen, StageGraphEdges, StageCliqueMine, StageInsert}
-	for _, stageName := range stages {
-		t.Run(stageName, func(t *testing.T) {
+	cases := []struct {
+		name, stage string
+		workers     int
+	}{
+		{StageRareExtract, StageRareExtract, 1},
+		{StageCubeGen, StageCubeGen, 1},
+		{StageGraphEdges, StageGraphEdges, 1},
+		{StageCliqueMine, StageCliqueMine, 1},
+		{StageInsert, StageInsert, 1},
+		{StageInsert + "_workers2", StageInsert, 2},
+	}
+	for _, tc := range cases {
+		stageName := tc.stage
+		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			chaos.Install(chaos.Spec{
@@ -39,7 +50,7 @@ func TestGenerateCancelMidStage(t *testing.T) {
 			defer chaos.Uninstall()
 
 			cfg := smallConfig(1)
-			cfg.Workers = 1
+			cfg.Workers = tc.workers
 			start := time.Now()
 			res, err := GenerateContext(ctx, n, cfg)
 			elapsed := time.Since(start)
@@ -105,19 +116,29 @@ func TestGenerateDeadline(t *testing.T) {
 
 // TestGenerateWorkerPanic injects a panic into the cube-generation
 // loop on both the parallel (worker goroutine) and serial (caller
-// goroutine) paths; both must surface as a StageError, not a crash.
+// goroutine) paths, and into insertion on its worker pool; each must
+// surface as a StageError, not a crash.
 func TestGenerateWorkerPanic(t *testing.T) {
 	n := robustCircuit(t)
-	for name, workers := range map[string]int{"parallel": 2, "serial": 1} {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, stage string
+		workers     int
+		onHit       int
+	}{
+		{"parallel", StageCubeGen, 2, 3},
+		{"serial", StageCubeGen, 1, 3},
+		{"insert_parallel", StageInsert, 2, 2},
+	} {
+		stageName := tc.stage
+		t.Run(tc.name, func(t *testing.T) {
 			chaos.Install(chaos.Spec{
-				Stage: StageCubeGen, Worker: chaos.AnyWorker,
-				Kind: chaos.Panic, OnHit: 3,
+				Stage: stageName, Worker: chaos.AnyWorker,
+				Kind: chaos.Panic, OnHit: tc.onHit,
 			})
 			defer chaos.Uninstall()
 
 			cfg := smallConfig(1)
-			cfg.Workers = workers
+			cfg.Workers = tc.workers
 			res, err := Generate(n, cfg)
 			if err == nil || res != nil {
 				t.Fatalf("expected a panic-derived failure, got res=%v err=%v", res, err)
@@ -126,8 +147,13 @@ func TestGenerateWorkerPanic(t *testing.T) {
 			if !ok {
 				t.Fatalf("error is not a *StageError: %v", err)
 			}
-			if se.Stage != StageCubeGen {
-				t.Fatalf("StageError.Stage = %q, want %q", se.Stage, StageCubeGen)
+			if se.Stage != stageName {
+				t.Fatalf("StageError.Stage = %q, want %q", se.Stage, stageName)
+			}
+			// A pool worker's guard names its worker; the stage's own
+			// goroutine is not a worker.
+			if (se.Worker >= 0) != (tc.workers > 1) {
+				t.Fatalf("StageError.Worker = %d with %d workers", se.Worker, tc.workers)
 			}
 			if se.PanicValue == nil {
 				t.Fatalf("StageError.PanicValue is nil for %v", err)
