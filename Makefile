@@ -49,13 +49,14 @@ deadpkg:
 # for the 10-minute default. The executor and artifact store are named
 # explicitly (with -count=1) so the cache/taint concurrency paths are
 # always exercised under the race detector, never served from the test
-# cache; so are detect and faultsim, whose MERO climb, ND-ATPG and
-# fault simulation run on worker pools, trojan, whose instances are
-# inserted on one, and bench, whose parser interns on its own goroutine
-# while the caller reads.
+# cache; so is stage, whose Each starts the worker goroutines of cube
+# generation, edge rows, instance insertion, ND-ATPG and fault
+# simulation, and so are its callers compat, trojan, detect and
+# faultsim, and bench, whose parser interns on its own goroutine while
+# the caller reads.
 race:
 	$(GO) test -race -timeout 5m ./...
-	$(GO) test -race -count=1 -timeout 5m ./internal/pipeline ./internal/artifact ./internal/serve ./internal/obs ./internal/journal ./internal/iofault ./internal/sim ./internal/atpg ./internal/compat ./internal/rare ./internal/part ./internal/trojan ./internal/netlist ./internal/detect ./internal/faultsim ./internal/bench ./cmd/htload
+	$(GO) test -race -count=1 -timeout 5m ./internal/pipeline ./internal/artifact ./internal/serve ./internal/obs ./internal/journal ./internal/iofault ./internal/sim ./internal/atpg ./internal/stage ./internal/compat ./internal/rare ./internal/part ./internal/trojan ./internal/netlist ./internal/detect ./internal/faultsim ./internal/bench ./cmd/htload
 
 # Short fuzz smoke: each native fuzz target runs briefly so a parser
 # regression that panics or hangs on malformed input fails the gate.

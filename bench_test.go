@@ -404,7 +404,7 @@ func BenchmarkFaultSim(b *testing.B) {
 	ts := detect.RandomTestSet(n, 512, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := faultsim.Run(n, ts, nil); err != nil {
+		if _, err := faultsim.Run(context.Background(), n, ts, nil, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

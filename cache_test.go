@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"cghti/internal/compat"
 	"cghti/internal/obs"
 )
 
@@ -221,22 +222,47 @@ func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestCacheEntriesSharedAcrossWorkerCounts: Workers is excluded from
+// fingerprints, so a serial run must warm the cache for a parallel one,
+// and what it cached must be what the parallel run builds cold. The
+// capped row's MaxRareNodes binds, so its graph records where cube
+// generation stopped.
 func TestCacheEntriesSharedAcrossWorkerCounts(t *testing.T) {
-	// Workers is excluded from fingerprints, so a serial run must warm
-	// the cache for a parallel one.
-	n := robustCircuit(t)
-	cfg := smallConfig(16)
-	cfg.Cache = NewCache(0, 0)
-	cfg.Workers = 1
-	if _, err := Generate(n, cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 4
-	res, err := Generate(n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.CachedStages) == 0 {
-		t.Fatal("worker count leaked into the fingerprint chain")
+	for _, tc := range []struct {
+		name, circuit string
+		cfg           Config
+	}{
+		{"c432", "c432", smallConfig(16)},
+		{"c2670_capped", "c2670", Config{RareVectors: 2000, RareThreshold: 0.05, MaxRareNodes: 32, Instances: 3, Seed: 16}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := Circuit(tc.circuit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := tc.cfg
+			cfg.Cache = NewCache(0, 0)
+			cfg.Workers = 1
+			if _, err := Generate(n, cfg); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Workers = 4
+			res, err := Generate(n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.CachedStages) == 0 {
+				t.Fatal("worker count leaked into the fingerprint chain")
+			}
+			cfg.Cache = nil
+			cold, err := Generate(n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(compat.EncodeGraph(res.Graph), compat.EncodeGraph(cold.Graph)) {
+				t.Fatalf("the graph a Workers-1 run cached (%d of %d candidates done) differs from a cold Workers-4 build (%d of %d)",
+					res.Graph.CubesDone, res.Graph.CubesTotal, cold.Graph.CubesDone, cold.Graph.CubesTotal)
+			}
+		})
 	}
 }

@@ -134,7 +134,7 @@ func main() {
 		fmt.Printf("%-8s %6d vectors  triggered=%-5v (first %d)  detected=%-5v (first %d)\n",
 			name, ts.Len(), out.Triggered, out.FirstTrigger, out.Detected, out.FirstDetect)
 		if *faultCov {
-			cov, err := faultsim.RunContext(ctx, golden, ts, nil, *workers)
+			cov, err := faultsim.Run(ctx, golden, ts, nil, *workers)
 			if err != nil {
 				fatal(err)
 			}

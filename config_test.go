@@ -28,7 +28,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative clique attempts", Config{CliqueAttempts: -1}, "CliqueAttempts"},
 		{"negative workers", Config{Workers: -1}, "Workers"},
 		{"negative partitions", Config{Partitions: -1}, "Partitions"},
-		{"negative deadline", Config{Deadline: -time.Second}, "Deadline"},
 		{"negative stage budget", Config{StageBudgets: map[string]time.Duration{StageCubeGen: -time.Millisecond}}, "StageBudgets"},
 		{"zero stage budget ok", Config{StageBudgets: map[string]time.Duration{StageCubeGen: 0}}, ""},
 	}

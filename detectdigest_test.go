@@ -140,7 +140,7 @@ func TestDetectDigests(t *testing.T) {
 				checkDetectDigest(t, name+"/random", workers, hr)
 				checkDetectDigest(t, name+"/mero", workers, hm)
 
-				cov, err := faultsim.RunWorkers(golden, random, nil, workers)
+				cov, err := faultsim.Run(context.Background(), golden, random, nil, workers)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -151,19 +151,14 @@ type Config struct {
 	// process-wide totals. Nil keeps the previous behavior: everything
 	// goes to the process default registry.
 	Metrics *Metrics
-	// Deadline bounds the whole pipeline: GenerateContext runs under a
-	// context.WithTimeout(ctx, Deadline) and a run that exceeds it
-	// fails with a *StageError wrapping context.DeadlineExceeded,
-	// naming the stage that was running. 0 = no deadline.
-	Deadline time.Duration
 	// StageBudgets gives individual stages their own time budgets,
 	// keyed by the Stage* constants. A stage that exhausts its budget
 	// is cut short; stages with a usable partial result (rare_extract,
 	// cube_gen, graph_edges, clique_mine, insert) degrade gracefully —
 	// the pipeline continues on the best-so-far output and the expiry
 	// is recorded in Result.Degraded — while the rest fail the run.
-	// Only the overall Deadline (or the caller's ctx) failing aborts
-	// the pipeline with an error.
+	// Only the caller's ctx failing (cancellation or its deadline)
+	// aborts the pipeline with an error.
 	StageBudgets map[string]time.Duration
 	// Cache, if non-nil, is the content-addressed artifact store the
 	// pipeline consults before recomputing rare extraction, cube
@@ -220,9 +215,6 @@ func (c Config) Validate() error {
 	}
 	if c.Partitions < 0 {
 		return bad("Partitions", "%d is negative; want 1 = whole netlist, n = n fanout-cone partitions, 0 = default", c.Partitions)
-	}
-	if c.Deadline < 0 {
-		return bad("Deadline", "%v is negative; want a positive duration (or 0 for none)", c.Deadline)
 	}
 	for name, d := range c.StageBudgets {
 		if d < 0 {
@@ -367,12 +359,12 @@ func Generate(n *Netlist, cfg Config) (*Result, error) {
 }
 
 // GenerateContext is Generate with cooperative cancellation and time
-// budgets. The pipeline checks ctx (plus cfg.Deadline, when set)
-// between and inside every stage's hot loop; cancellation or deadline
-// expiry fails the run promptly with a *StageError naming the stage
-// that was running and carrying the partial span trace. Per-stage
-// budgets (cfg.StageBudgets) are softer: a stage that exhausts its own
-// budget but produced a usable partial result degrades — the pipeline
+// budgets. The pipeline checks ctx between and inside every stage's
+// hot loop; cancellation or the expiry of ctx's deadline fails the run
+// promptly with a *StageError naming the stage that was running and
+// carrying the partial span trace. Per-stage budgets
+// (cfg.StageBudgets) are softer: a stage that exhausts its own budget
+// but produced a usable partial result degrades — the pipeline
 // continues on the best-so-far output and records the expiry in
 // Result.Degraded — and only stages with nothing to salvage fail the
 // run. Worker panics inside any stage surface as *StageError instead
@@ -388,11 +380,6 @@ func GenerateContext(ctx context.Context, n *Netlist, cfg Config) (*Result, erro
 	cfg = cfg.withDefaults()
 	if cfg.Metrics != nil {
 		ctx = obs.WithRegistry(ctx, cfg.Metrics)
-	}
-	if cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		defer cancel()
 	}
 	trace := cfg.Trace
 	if trace == nil {

@@ -181,8 +181,9 @@ func instanceBytes(t *testing.T, ins []trojan.Inserted) [][]byte {
 // insert stage returns exactly the instances before the lowest failing
 // index, byte-identical to the serial run's, and its error names that
 // index. Failures are made two ways: cliques emptied at fixed indices
-// (deterministic), and an injected error on whichever instance reaches
-// the third victim candidate first.
+// (deterministic), and an injected error at the insert hook's third
+// hit. The hook fires once per instance, before it is inserted, so the
+// error lands on whichever instance a worker claims third.
 func TestInsertSalvagePrefix(t *testing.T) {
 	n, err := Circuit("c2670")
 	if err != nil {

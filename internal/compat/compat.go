@@ -34,7 +34,6 @@ type meters struct {
 	cubeSuccess    *obs.Counter
 	cubeDropped    *obs.Counter
 	pairChecks     *obs.Counter
-	workerBatches  *obs.Counter
 	cliqueAttempts *obs.Counter
 	cliquesFound   *obs.Counter
 	cliqueSatExits *obs.Counter
@@ -56,7 +55,6 @@ func newMeters(r *obs.Registry) *meters {
 		cubeSuccess:    r.Counter("compat.cubes_generated"),
 		cubeDropped:    r.Counter("compat.cubes_dropped"),
 		pairChecks:     r.Counter("compat.pair_checks"),
-		workerBatches:  r.Counter("compat.worker_batches"),
 		cliqueAttempts: r.Counter("compat.clique_attempts"),
 		cliquesFound:   r.Counter("compat.cliques_found"),
 		cliqueSatExits: r.Counter("compat.clique_saturation_exits"),
@@ -77,10 +75,12 @@ type BuildConfig struct {
 	// nodes; the cap bounds ATPG time without changing the algorithm.
 	MaxNodes int
 	// Workers sets the worker-goroutine count for both PODEM cube
-	// generation and pairwise edge construction (1 = serial, 0 =
-	// GOMAXPROCS). The result is identical for any worker count: each
-	// rare node's cube is computed independently and results keep
-	// rarity order, and the pairwise compatibility test is pure.
+	// generation and pairwise edge construction (1 = on the calling
+	// goroutine, 0 = GOMAXPROCS), run on stage.Each. The graph is
+	// byte-identical for any worker count: each rare node's cube is
+	// computed independently, results keep rarity order, a MaxNodes
+	// cap stops at the serial cutoff, and the pairwise compatibility
+	// test is pure.
 	Workers int
 	// Partitions groups the vertices by the fanout-cone partition
 	// (part.Build) that owns their rare node, and stores the adjacency
@@ -89,13 +89,12 @@ type BuildConfig struct {
 	// dense adjacency. Cube generation runs on the whole netlist either
 	// way, so the graph — vertices, cubes, edge set, and everything
 	// mined from it — is bit-identical for any partition count; only
-	// the representation changes. With Partitions > 1 and MaxNodes > 0,
-	// CubesDone advances in batch steps even for one worker.
+	// the representation changes.
 	Partitions int
 	// Progress, if non-nil, is called with (candidates processed,
-	// total candidates) as cube generation advances — per candidate on
-	// the serial path, per batch on the parallel path. Always invoked
-	// from the goroutine that called Build.
+	// total candidates) each time the finished prefix of the rarity
+	// order grows by one candidate, at any worker count. Always
+	// invoked from the goroutine that called Build.
 	Progress func(done, total int)
 }
 
@@ -113,10 +112,11 @@ type Graph struct {
 	// Dropped counts rare nodes skipped because PODEM aborted or proved
 	// them unexcitable.
 	Dropped int
-	// CubesDone/CubesTotal report cube-generation progress: candidates
-	// processed vs. candidates considered. Done < Total after an
-	// interrupted BuildCubes (budget expiry or cancellation) or a
-	// MaxNodes cutoff.
+	// CubesDone/CubesTotal report cube-generation progress: the
+	// finished prefix of the rarity-ordered candidates vs. candidates
+	// considered. Done < Total after an interrupted BuildCubes (budget
+	// expiry or cancellation) or a MaxNodes cutoff, which stops right
+	// after the MaxNodes-th success for any worker or partition count.
 	CubesDone, CubesTotal int
 	// EdgeRowsDone/EdgeRowsTotal report edge-construction progress in
 	// adjacency rows. Done < Total after an interrupted ConnectEdges;
@@ -159,9 +159,9 @@ func BuildContext(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg Bui
 
 // BuildCubes runs PODEM for every rare node (rarest first) and returns
 // a graph with vertices and cubes but no edges yet — call ConnectEdges
-// to finish it. Cancellation is checked per candidate (serial) or per
-// batch (parallel); an interrupted build returns the vertices collected
-// so far together with the interrupting error.
+// to finish it. Cancellation is checked per candidate; an interrupted
+// build returns the vertices of the finished prefix of candidates
+// together with the interrupting error.
 func BuildCubes(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg BuildConfig) (*Graph, error) {
 	candidates := rs.All()
 	// Rarest first so a MaxNodes cap keeps the best trigger material.
@@ -189,39 +189,50 @@ func BuildCubes(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg Build
 
 	g := &Graph{InputIDs: an.InputIDs(), CubesTotal: len(candidates)}
 	t0 := time.Now()
-	var runErr error
-	if workers == 1 && plan == nil {
-		eng := newCubeEngine(ctx, an, cfg)
-		ctxDone := ctx.Done()
-	serial:
-		for done, node := range candidates {
-			if cfg.MaxNodes > 0 && len(g.Nodes) >= cfg.MaxNodes {
-				break
-			}
-			select {
-			case <-ctxDone:
-				runErr = ctx.Err()
-				break serial
-			default:
-			}
-			if err := chaos.Hit(stage.CubeGen, 0); err != nil {
-				runErr = err
-				break serial
-			}
-			cube, res := eng.Justify(node.ID, node.RareValue)
-			g.CubesDone = done + 1
-			if res == atpg.Success {
-				g.Nodes = append(g.Nodes, node)
-				g.Cubes = append(g.Cubes, cube)
-			} else {
-				g.Dropped++
+	type outcome struct {
+		cube atpg.Cube
+		ok   bool
+	}
+	results := make([]outcome, len(candidates))
+	// next counts the successes of each new part of the finished
+	// prefix and stops the loop at the MaxNodes-th, where the serial
+	// walk stops, whatever the worker count.
+	var next func(done int) bool
+	if cfg.MaxNodes > 0 || cfg.Progress != nil {
+		counted, found := 0, 0
+		next = func(done int) bool {
+			for ; counted < done; counted++ {
+				if results[counted].ok {
+					found++
+				}
 			}
 			if cfg.Progress != nil {
-				cfg.Progress(done+1, len(candidates))
+				cfg.Progress(done, len(candidates))
 			}
+			return cfg.MaxNodes <= 0 || found < cfg.MaxNodes
 		}
-	} else {
-		runErr = g.buildCubesParallel(ctx, an, candidates, cfg, workers)
+	}
+	done, runErr := stage.Each(ctx, stage.CubeGen, workers, len(candidates), func(int) func(int) error {
+		eng := an.NewEngine()
+		eng.SetRegistry(obs.FromContext(ctx))
+		if cfg.MaxBacktracks > 0 {
+			eng.MaxBacktracks = cfg.MaxBacktracks
+		}
+		return func(i int) error {
+			node := candidates[i]
+			cube, res := eng.Justify(node.ID, node.RareValue)
+			results[i] = outcome{cube: cube, ok: res == atpg.Success}
+			return nil
+		}
+	}, next)
+	g.CubesDone = done
+	for i, r := range results[:done] {
+		if !r.ok {
+			g.Dropped++
+			continue
+		}
+		g.Nodes = append(g.Nodes, candidates[i])
+		g.Cubes = append(g.Cubes, r.cube)
 	}
 	if plan != nil {
 		for _, node := range g.Nodes {

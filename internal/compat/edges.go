@@ -3,15 +3,10 @@ package compat
 import (
 	"context"
 	"math/bits"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cghti/internal/atpg"
-	"cghti/internal/chaos"
-	"cghti/internal/obs"
 	"cghti/internal/sim"
 	"cghti/internal/stage"
 )
@@ -91,18 +86,14 @@ func (t *transposed) conflictRow(i int, row []uint64) {
 // edge is a real compatibility — only completeness suffers — and
 // returns the interrupting error.
 func (g *Graph) ConnectEdges(ctx context.Context, cfg BuildConfig) error {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	t1 := time.Now()
 	v := len(g.Nodes)
 	g.words = (v + 63) / 64
 	var runErr error
 	if cfg.Partitions > 1 && g.vertPart != nil {
-		runErr = g.connectPartitioned(ctx, workers)
+		runErr = g.connectPartitioned(ctx, cfg.Workers)
 	} else {
-		runErr = g.connectDense(ctx, workers)
+		runErr = g.connectDense(ctx, cfg.Workers)
 	}
 	g.EdgeTime = time.Since(t1)
 	met := metersCtx(ctx)
@@ -132,7 +123,7 @@ func (g *Graph) connectDense(ctx context.Context, workers int) error {
 	if v%64 == 0 {
 		tail = ^uint64(0)
 	}
-	done, err := g.eachRow(ctx, workers, func(i int, conf []uint64) {
+	done, rows, err := g.eachRow(ctx, workers, func(i int, conf []uint64) {
 		row := g.adj[i]
 		for w, x := range conf {
 			row[w] = ^x
@@ -140,10 +131,7 @@ func (g *Graph) connectDense(ctx context.Context, workers int) error {
 		row[len(row)-1] &= tail
 		row[i/64] &^= 1 << uint(i%64)
 	})
-	settled := v
-	for settled > 0 && done[settled-1] {
-		settled--
-	}
+	settled := v - rows
 	g.EdgeRowsDone = max(v-1-settled, 0)
 	if settled > 0 {
 		mask := doneMask(done, g.words)
@@ -158,50 +146,25 @@ func (g *Graph) connectDense(ctx context.Context, workers int) error {
 	return err
 }
 
-// eachRow runs fn(i, conflicts of i) for every vertex over a worker pool,
-// from the last vertex down; conf is per-worker scratch, valid for the
-// call. done[i] reports which rows ran to completion. A worker checks
-// cancellation and the chaos hook only after claiming a row, so an
-// error always leaves at least one row undone.
-func (g *Graph) eachRow(ctx context.Context, workers int, fn func(i int, conf []uint64)) (done []bool, runErr error) {
+// eachRow runs fn(i, conflicts of i) for every vertex on stage.Each,
+// from the last vertex down: index k is row v-1-k. conf is per-worker
+// scratch, valid for the call. done[i] reports which rows ran to
+// completion; rows v-rows through v-1 all did.
+func (g *Graph) eachRow(ctx context.Context, workers int, fn func(i int, conf []uint64)) (done []bool, rows int, err error) {
 	v := len(g.Nodes)
 	done = make([]bool, v)
 	t := transpose(g.Cubes)
-	var errOnce sync.Once
-	ctxDone := ctx.Done()
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, v); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			err := obs.Guard(stage.GraphEdges, w, func() error {
-				conf := make([]uint64, t.words)
-				for {
-					i := v - int(cursor.Add(1))
-					if i < 0 {
-						return nil
-					}
-					select {
-					case <-ctxDone:
-						return ctx.Err()
-					default:
-					}
-					if err := chaos.Hit(stage.GraphEdges, w); err != nil {
-						return err
-					}
-					t.conflictRow(i, conf)
-					fn(i, conf)
-					done[i] = true
-				}
-			})
-			if err != nil {
-				errOnce.Do(func() { runErr = err })
-			}
-		}(w)
-	}
-	wg.Wait()
-	return done, runErr
+	rows, err = stage.Each(ctx, stage.GraphEdges, workers, v, func(int) func(int) error {
+		conf := make([]uint64, t.words)
+		return func(k int) error {
+			i := v - 1 - k
+			t.conflictRow(i, conf)
+			fn(i, conf)
+			done[i] = true
+			return nil
+		}
+	}, nil)
+	return done, rows, err
 }
 
 // doneMask returns the bitset of completed rows.
@@ -252,7 +215,7 @@ func (g *Graph) connectPartitioned(ctx context.Context, workers int) error {
 	g.EdgeRowsDone = 0
 
 	cross := make([][]int32, v) // per-vertex cross-group conflicts, ascending
-	done, err := g.eachRow(ctx, workers, func(i int, conf []uint64) {
+	done, _, err := g.eachRow(ctx, workers, func(i int, conf []uint64) {
 		gr := pa.vgroup[i]
 		brow := pa.blockRow(i)
 		for q, j := range pa.groups[gr] {

@@ -4,11 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"cghti/internal/atpg"
-	"cghti/internal/chaos"
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
 	"cghti/internal/rare"
@@ -112,69 +109,34 @@ type ndCube struct {
 }
 
 // ndatpgCubes runs the per-event ATPG (detection first, excitation
-// fallback) over a worker pool, each worker owning one engine over the
-// shared analysis. Workers run under obs.Guard and check ctx per event.
+// fallback) on stage.Each, each worker owning one engine over the
+// shared analysis. Any error returns a nil list.
 func ndatpgCubes(ctx context.Context, an *atpg.Analysis, events []rare.Node, cfg NDATPGConfig) ([]ndCube, error) {
 	out := make([]ndCube, len(events))
-	workers := cfg.Workers
-	if workers > len(events) {
-		workers = len(events)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var runErr error
-	var errOnce sync.Once
-	setErr := func(err error) {
-		if err != nil {
-			errOnce.Do(func() { runErr = err })
+	_, err := stage.Each(ctx, stage.NDATPG, cfg.Workers, len(events), func(int) func(int) error {
+		eng := an.NewEngine()
+		eng.SetRegistry(obs.FromContext(ctx))
+		if cfg.MaxBacktracks > 0 {
+			eng.MaxBacktracks = cfg.MaxBacktracks
 		}
-	}
-	ctxDone := ctx.Done()
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			setErr(obs.Guard(stage.NDATPG, w, func() error {
-				eng := an.NewEngine()
-				eng.SetRegistry(obs.FromContext(ctx))
-				if cfg.MaxBacktracks > 0 {
-					eng.MaxBacktracks = cfg.MaxBacktracks
+		return func(i int) error {
+			node := events[i]
+			cube, res := eng.Detect(node.ID, node.RareValue^1)
+			if res != atpg.Success {
+				// Redundant or aborted propagation: excitation alone
+				// still drives the rare event, which is what trojan
+				// triggering needs.
+				cube, res = eng.Justify(node.ID, node.RareValue)
+				if res != atpg.Success {
+					return nil
 				}
-				for {
-					select {
-					case <-ctxDone:
-						return ctx.Err()
-					default:
-					}
-					if err := chaos.Hit(stage.NDATPG, w); err != nil {
-						return err
-					}
-					i := int(cursor.Add(1)) - 1
-					if i >= len(events) {
-						return nil
-					}
-					node := events[i]
-					cube, res := eng.Detect(node.ID, node.RareValue^1)
-					if res != atpg.Success {
-						// Redundant or aborted propagation: excitation alone
-						// still drives the rare event, which is what trojan
-						// triggering needs.
-						cube, res = eng.Justify(node.ID, node.RareValue)
-						if res != atpg.Success {
-							continue
-						}
-					}
-					out[i] = ndCube{cube: cube, ok: true}
-				}
-			}))
-		}(w)
-	}
-	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
+			}
+			out[i] = ndCube{cube: cube, ok: true}
+			return nil
+		}
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -31,9 +31,9 @@ func TestRunContextPreCancelled(t *testing.T) {
 	n := gen.C17()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, n, cancelVectors(n, 64), nil, 1)
+	_, err := Run(ctx, n, cancelVectors(n, 64), nil, 1)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
+		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
 }
 
@@ -50,9 +50,9 @@ func TestRunContextCancelledMidRun(t *testing.T) {
 	defer cancel()
 	// Enough vectors for several batches, so there is a later
 	// cancellation point after the injected stall.
-	cov, err := RunContext(ctx, n, cancelVectors(n, 4096), nil, 1)
+	cov, err := Run(ctx, n, cancelVectors(n, 4096), nil, 1)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
+		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
 	// The partial coverage must stay internally consistent.
 	if cov.Detected > cov.Total {
@@ -69,7 +69,7 @@ func TestRunWorkerPanicContained(t *testing.T) {
 				Kind: chaos.Panic, OnHit: 1,
 			})
 			defer chaos.Uninstall()
-			_, err := RunWorkers(n, cancelVectors(n, 64), nil, workers)
+			_, err := Run(context.Background(), n, cancelVectors(n, 64), nil, workers)
 			if err == nil {
 				t.Fatal("injected panic did not surface as an error")
 			}

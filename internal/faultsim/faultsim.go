@@ -15,10 +15,7 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
-	"cghti/internal/chaos"
 	"cghti/internal/detect"
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
@@ -254,30 +251,18 @@ func (c Coverage) Percent() float64 {
 
 // Run measures stuck-at fault coverage of the test set, whose Inputs
 // are n's combinational inputs, over the fault list (FullFaultList if
-// faults is nil). Detected faults are dropped from later batches (fault
-// dropping), the standard speedup.
-func Run(n *netlist.Netlist, ts *detect.TestSet, faults []Fault) (Coverage, error) {
-	return RunWorkers(n, ts, faults, 1)
-}
-
-// RunWorkers is Run with an explicit simulation goroutine budget (1 =
-// serial, 0 = GOMAXPROCS). Each batch shards the live fault list over
-// forked simulators that share the good-circuit image; per-fault
-// detection results are folded back in fault-list order, so the
-// coverage (including first-detecting-vector indices and fault
-// dropping) is identical for any worker count.
-func RunWorkers(n *netlist.Netlist, ts *detect.TestSet, faults []Fault, workers int) (Coverage, error) {
-	return RunContext(context.Background(), n, ts, faults, workers)
-}
-
-// RunContext is RunWorkers with cooperative cancellation (checked per
-// pattern batch on the coordinator and per fault inside the workers)
-// and panic containment (a panicking worker surfaces as a
-// *obs.StageError instead of killing the process). On cancellation the
-// coverage accumulated over completed batches is returned alongside
-// ctx's error — detections already recorded are real, only later
-// vectors go unmeasured.
-func RunContext(ctx context.Context, n *netlist.Netlist, ts *detect.TestSet, faults []Fault, workers int) (Coverage, error) {
+// faults is nil), on workers goroutines (1 = serial, 0 = GOMAXPROCS).
+// Detected faults are dropped from later batches (fault dropping), the
+// standard speedup. Each pattern batch runs the live faults on
+// stage.Each over simulators forked once up front, which share the
+// good-circuit image; per-fault results are folded back in fault-list
+// order, so the coverage (first-detecting-vector indices and fault
+// dropping included) is identical for any worker count. Cancellation
+// is checked per fault, and a panic surfaces as a *obs.StageError. On
+// an error the coverage of the completed batches is returned beside
+// it: detections already recorded are real, only later vectors go
+// unmeasured.
+func Run(ctx context.Context, n *netlist.Netlist, ts *detect.TestSet, faults []Fault, workers int) (Coverage, error) {
 	if faults == nil {
 		faults = FullFaultList(n)
 	}
@@ -294,7 +279,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, ts *detect.TestSet, fau
 		return cov, err
 	}
 	sims := []*Simulator{s}
-	for len(sims) < workers {
+	for len(sims) < min(workers, len(faults)) {
 		sims = append(sims, s.Fork())
 	}
 	good, err := sim.AcquirePacked(n, words)
@@ -304,65 +289,26 @@ func RunContext(ctx context.Context, n *netlist.Netlist, ts *detect.TestSet, fau
 	defer sim.ReleasePacked(good)
 	good.SetWorkers(0) // all cores: the fault workers idle while it runs
 	good.SetRegistry(obs.FromContext(ctx))
-	ctxDone := ctx.Done()
 	firsts := make([]int, len(faults))
 	remaining := append([]Fault(nil), faults...)
-	// The whole batch loop runs under a coordinator-level Guard so a
-	// panic on the coordinator path (not just inside a worker) also
-	// surfaces as a *obs.StageError; cov is accumulated per completed
-	// batch, so the partial coverage survives an early return.
-	loopErr := obs.Guard(stage.FaultSim, 0, func() error {
+	// The batch loop runs under its own Guard so a panic outside the
+	// fault loop also surfaces as a *obs.StageError; cov is accumulated
+	// per completed batch, so the partial coverage survives an early
+	// return.
+	err = obs.Guard(stage.FaultSim, -1, func() error {
 		for base := 0; base < ts.Len() && len(remaining) > 0; base += s.Patterns() {
-			select {
-			case <-ctxDone:
-				return ctx.Err()
-			default:
-			}
-			if err := chaos.Hit(stage.FaultSim, 0); err != nil {
-				return err
-			}
 			count := s.load(good, ts, base)
-			if workers == 1 || len(remaining) < 2 {
-				for i, f := range remaining {
-					firsts[i] = firstSetBit(s.DetectMask(f), count)
+			_, err := stage.Each(ctx, stage.FaultSim, workers, len(remaining), func(w int) func(int) error {
+				sw := sims[w]
+				return func(i int) error {
+					firsts[i] = firstSetBit(sw.DetectMask(remaining[i]), count)
+					return nil
 				}
-			} else {
-				var runErr error
-				var errOnce sync.Once
-				var cursor atomic.Int64
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int, sw *Simulator) {
-						defer wg.Done()
-						if err := obs.Guard(stage.FaultSim, w, func() error {
-							for {
-								select {
-								case <-ctxDone:
-									return ctx.Err()
-								default:
-								}
-								if err := chaos.Hit(stage.FaultSim, w); err != nil {
-									return err
-								}
-								i := int(cursor.Add(1)) - 1
-								if i >= len(remaining) {
-									return nil
-								}
-								firsts[i] = firstSetBit(sw.DetectMask(remaining[i]), count)
-							}
-						}); err != nil {
-							errOnce.Do(func() { runErr = err })
-						}
-					}(w, sims[w])
-				}
-				wg.Wait()
-				if runErr != nil {
-					// The batch is incomplete: some faults were never
-					// simulated this round, so its detections cannot be
-					// folded in without misordering first-detect indices.
-					return runErr
-				}
+			}, nil)
+			if err != nil {
+				// The batch is incomplete: the faults it never reached
+				// hold stale results, which must not be folded in.
+				return err
 			}
 			alive := remaining[:0]
 			for i, f := range remaining {
@@ -377,7 +323,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, ts *detect.TestSet, fau
 		}
 		return nil
 	})
-	return cov, loopErr
+	return cov, err
 }
 
 func firstSetBit(mask []uint64, limit int) int {

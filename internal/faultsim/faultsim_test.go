@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestC17ExhaustiveFullCoverage(t *testing.T) {
 		}
 		ts.Add(v)
 	}
-	cov, err := Run(n, ts, nil)
+	cov, err := Run(context.Background(), n, ts, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ y = OR(a, g)
 	for p := 0; p < 4; p++ {
 		ts.Add([]bool{p&1 == 1, p&2 == 2})
 	}
-	cov, err := Run(n, ts, []Fault{fault})
+	cov, err := Run(context.Background(), n, ts, []Fault{fault}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestRunFirstDetectingVectorIndex(t *testing.T) {
 		[]bool{true, true},
 	)
 	f := Fault{Site: n.MustLookup("a"), StuckAt: 0}
-	cov, err := Run(n, ts, []Fault{f})
+	cov, err := Run(context.Background(), n, ts, []Fault{f}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestRunFirstDetectingVectorIndex(t *testing.T) {
 
 func TestRunEmptyInputs(t *testing.T) {
 	n := parse(t, c17)
-	cov, err := Run(n, testSet(n), nil)
+	cov, err := Run(context.Background(), n, testSet(n), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestRunMultiBatchFaultDropping(t *testing.T) {
 	// More vectors than one batch (512) forces the multi-batch path.
 	n := gen.MustBenchmark("c432")
 	ts := detect.RandomTestSet(n, 1100, 3)
-	cov, err := Run(n, ts, nil)
+	cov, err := Run(context.Background(), n, ts, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ q = DFF(d)
 d = AND(a, b)
 `)
 	f := Fault{Site: n.MustLookup("d"), StuckAt: 0}
-	cov, err := Run(n, testSet(n, []bool{true, true, false}), []Fault{f})
+	cov, err := Run(context.Background(), n, testSet(n, []bool{true, true, false}), []Fault{f}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

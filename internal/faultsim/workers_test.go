@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"testing"
 
 	"cghti/internal/detect"
@@ -17,12 +18,12 @@ func TestRunWorkersIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		ts := detect.RandomTestSet(n, 1500, 13)
-		ref, err := RunWorkers(n, ts, nil, 1)
+		ref, err := Run(context.Background(), n, ts, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 8} {
-			got, err := RunWorkers(n, ts, nil, workers)
+			got, err := Run(context.Background(), n, ts, nil, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

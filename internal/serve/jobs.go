@@ -113,13 +113,15 @@ func (s *Server) generateJob(req GenerateRequest) (runFunc, artifact.Fingerprint
 		ActiveLow:       req.ActiveLow,
 		Seed:            req.Seed,
 		Workers:         s.cfg.JobWorkers,
-		Deadline:        s.jobTimeout(req.TimeoutMS),
 		Cache:           s.cfg.Cache,
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, artifact.Fingerprint{}, err
 	}
+	timeout := s.jobTimeout(req.TimeoutMS)
 	run := func(ctx context.Context, reg *obs.Registry, trace *obs.Trace, sink obs.Sink) (any, error) {
+		ctx, cancel := context.WithTimeout(ctx, timeout)
+		defer cancel()
 		runCfg := cfg
 		runCfg.Metrics = reg
 		runCfg.Trace = trace

@@ -1,9 +1,10 @@
 // Package stage holds the canonical stage names shared by the
 // framework pipeline, the observability layer, and the chaos
-// fault-injection hooks. The framework root re-exports the pipeline
-// names as cghti.Stage*; internal packages import this package so a
-// worker can attribute a panic or a cancellation to the stage it
-// happened in without importing the framework root.
+// fault-injection hooks, and Each, the one worker loop the stages run
+// their independent indices on. The framework root re-exports the
+// pipeline names as cghti.Stage*; internal packages import this
+// package so a worker can attribute a panic or a cancellation to the
+// stage it happened in without importing the framework root.
 package stage
 
 // Pipeline stages of Generate, in execution order.

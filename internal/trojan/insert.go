@@ -6,12 +6,10 @@ import (
 	"math/rand"
 
 	"cghti/internal/atpg"
-	"cghti/internal/chaos"
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
 	"cghti/internal/rare"
 	"cghti/internal/sim"
-	"cghti/internal/stage"
 )
 
 // instancesCounter resolves the insertion counter against the registry
@@ -122,7 +120,7 @@ func InsertInstanceContext(ctx context.Context, n *netlist.Netlist, nodes []rare
 	if err != nil {
 		return nil, nil, err
 	}
-	return in.insert(ctx, nodes, cube, index, spec, 0)
+	return in.insert(ctx, nodes, cube, index, spec)
 }
 
 // inserter splices trojan instances into one golden netlist. It holds
@@ -190,9 +188,8 @@ func (in *inserter) fork() *inserter {
 	}
 }
 
-// insert is InsertInstanceContext on the inserter's base netlist, run by
-// worker w.
-func (in *inserter) insert(ctx context.Context, nodes []rare.Node, cube atpg.Cube, index int, spec InsertSpec, w int) (*netlist.Netlist, *Instance, error) {
+// insert is InsertInstanceContext on the inserter's base netlist.
+func (in *inserter) insert(ctx context.Context, nodes []rare.Node, cube atpg.Cube, index int, spec InsertSpec) (*netlist.Netlist, *Instance, error) {
 	spec = spec.withDefaults()
 	if len(nodes) == 0 {
 		return nil, nil, fmt.Errorf("trojan: empty trigger-node set")
@@ -245,9 +242,6 @@ func (in *inserter) insert(ctx context.Context, nodes []rare.Node, cube atpg.Cub
 		case <-ctxDone:
 			return nil, nil, ctx.Err()
 		default:
-		}
-		if err := chaos.Hit(stage.Insert, w); err != nil {
-			return nil, nil, err
 		}
 		if !spotCheck || in.observable(out, v, trigOut, ptype, cube, rng) {
 			victim = v

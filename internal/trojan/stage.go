@@ -3,12 +3,9 @@ package trojan
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"cghti/internal/compat"
 	"cghti/internal/netlist"
-	"cghti/internal/obs"
 	pipe "cghti/internal/pipeline"
 	"cghti/internal/stage"
 )
@@ -28,8 +25,9 @@ type Inserted struct {
 // []Inserted, one per emitted instance. The base netlist is analyzed
 // once per run (see inserter), so each instance costs one netlist copy.
 // Instances are independent (each seeds from its index and only reads
-// the base), so they are inserted on a worker budget, each worker with
-// its own inserter scratch; the output is the same for any budget.
+// the base), so they are inserted on stage.Each over a worker budget,
+// each worker with its own inserter scratch; the output is the same
+// for any budget.
 // Not cacheable: insertion is the cheap per-instance tail the upstream
 // caching exists to serve.
 type InsertStage struct {
@@ -63,93 +61,36 @@ func (s *InsertStage) Run(ctx context.Context, env *pipe.Env, inputs []pipe.Arti
 		total = len(cliques)
 	}
 	s.total = total
-	progress := env.Progress(stage.Insert)
 
 	ins, err := newInserter(n)
 	if err != nil {
 		return nil, fmt.Errorf("cghti: insert: %w", err)
 	}
 	out := make([]Inserted, total)
-	// one inserts instance i on worker w's inserter into out[i].
-	one := func(in *inserter, i, w int) error {
-		c := cliques[i]
-		infected, inst, err := in.insert(ctx, c.Nodes(g), c.Cube, i, s.Spec, w)
-		if err != nil {
-			return fmt.Errorf("cghti: instance %d: %w", i, err)
+	var next func(done int) bool
+	if progress := env.Progress(stage.Insert); progress != nil {
+		next = func(done int) bool {
+			progress(done, total)
+			return true
 		}
-		out[i] = Inserted{Netlist: infected, Instance: inst, Clique: c}
-		return nil
 	}
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers = min(workers, total); workers <= 1 {
-		for i := 0; i < total; i++ {
-			if err := one(ins, i, 0); err != nil {
-				return out[:i], err
-			}
-			if progress != nil {
-				progress(i+1, total)
-			}
-		}
-		return out, nil
-	}
-
-	// Each worker takes the next index from the cursor until none is
-	// left or an instance has failed; every index taken is finished,
-	// so the instances before the lowest failing index are all done.
-	// Workers report each finished index; this goroutine reports
-	// progress in index order.
-	errs := make([]error, total)
-	finished := make(chan int, total+workers) // every index once, then every worker's exit: no send blocks
-	var cursor atomic.Int64
-	var failed atomic.Bool
-	for w := 0; w < workers; w++ {
+	done, err := stage.Each(ctx, stage.Insert, s.workers, total, func(w int) func(int) error {
 		in := ins
 		if w > 0 {
 			in = ins.fork()
 		}
-		go func(w int) {
-			defer func() { finished <- -1 }()
-			i := -1
-			err := obs.Guard(stage.Insert, w, func() error {
-				for !failed.Load() {
-					if i = int(cursor.Add(1)) - 1; i >= total {
-						return nil
-					}
-					if errs[i] = one(in, i, w); errs[i] != nil {
-						failed.Store(true)
-					}
-					finished <- i
-				}
-				return nil
-			})
-			if err != nil { // a panic inside instance i
-				errs[i] = fmt.Errorf("cghti: instance %d: %w", i, err)
-				failed.Store(true)
-				finished <- i
+		return func(i int) error {
+			c := cliques[i]
+			infected, inst, err := in.insert(ctx, c.Nodes(g), c.Cube, i, s.Spec)
+			if err != nil {
+				return err
 			}
-		}(w)
-	}
-	done := make([]bool, total)
-	prefix := 0
-	for running := workers; running > 0; {
-		i := <-finished
-		if i < 0 {
-			running--
-			continue
+			out[i] = Inserted{Netlist: infected, Instance: inst, Clique: c}
+			return nil
 		}
-		done[i] = true
-		for prefix < total && done[prefix] && errs[prefix] == nil {
-			prefix++
-			if progress != nil {
-				progress(prefix, total)
-			}
-		}
-	}
-	if prefix < total {
-		return out[:prefix], errs[prefix]
+	}, next)
+	if err != nil {
+		return out[:done], fmt.Errorf("cghti: instance %d: %w", done, err)
 	}
 	return out, nil
 }

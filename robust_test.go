@@ -88,7 +88,7 @@ func TestGenerateCancelMidStage(t *testing.T) {
 	}
 }
 
-// TestGenerateDeadline lets Config.Deadline expire while cube
+// TestGenerateDeadline lets the context's deadline expire while cube
 // generation is held by an injected delay.
 func TestGenerateDeadline(t *testing.T) {
 	n := robustCircuit(t)
@@ -100,8 +100,9 @@ func TestGenerateDeadline(t *testing.T) {
 
 	cfg := smallConfig(1)
 	cfg.Workers = 1
-	cfg.Deadline = 50 * time.Millisecond
-	res, err := Generate(n, cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	res, err := GenerateContext(ctx, n, cfg)
 	if err == nil || res != nil {
 		t.Fatalf("expected a deadline failure, got res=%v err=%v", res, err)
 	}
