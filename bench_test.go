@@ -241,6 +241,19 @@ func BenchmarkNDATPGGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkRandomTestSet times the Random scheme's draw at paper scale:
+// 100 000 vectors over c2670's 233 combinational inputs.
+func BenchmarkRandomTestSet(b *testing.B) {
+	n := gen.MustBenchmark("c2670")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drawn = detect.RandomTestSet(n, 100000, 1)
+	}
+}
+
+// drawn keeps BenchmarkRandomTestSet's draw observable.
+var drawn *detect.TestSet
+
 func BenchmarkDetectionEvaluate(b *testing.B) {
 	n := benchCircuit(b)
 	res, err := cghti.Generate(n, cghti.Config{RareVectors: 2000, MinTriggerNodes: 8, Seed: 1})

@@ -67,7 +67,7 @@ func main() {
 		workers     = flag.Int("workers", serve.DefaultWorkers, "job worker-pool size (max concurrent jobs)")
 		queue       = flag.Int("queue", serve.DefaultQueueDepth, "accepted-but-not-started job backlog; beyond it submits get 429")
 		jobTimeout  = flag.Duration("job-timeout", serve.DefaultJobTimeout, "per-job deadline cap (requests may ask for less)")
-		jobWorkers  = flag.Int("job-workers", 1, "per-job simulation/ATPG goroutine budget")
+		jobWorkers  = flag.Int("job-workers", 0, "per-job simulation/ATPG goroutine budget (0 = all CPUs)")
 		cacheDir    = flag.String("cache-dir", "", "persist the shared artifact cache here (memory-only if empty)")
 		report      = flag.String("report", "", "write the final drain report to this file (stderr if empty)")
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "how long in-flight jobs may keep running after SIGTERM before being canceled")

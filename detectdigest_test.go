@@ -25,18 +25,21 @@ import (
 // here, as the paper reports; its rows pin that all-miss outcome. The
 // ndatpg_vectors rows pin ND-ATPG's vectors in order, at the default
 // PODEM budget: it is the only caller of atpg.Engine.Detect outside
-// tests.
+// tests. The mero_vectors and faultsim rows were re-recorded when the
+// random draw moved to one generator word per 64 vectors. The random
+// and mero rows did not move: the cubes written over the draw decide
+// the random outcomes, and MERO still misses every trigger.
 var goldenDetectDigests = map[string]string{
 	"c2670/ndatpg_vectors": "a12d933f50a896b41deddc4bb5cca02a712adf83eecf77412784eab25d20ad15",
 	"s1423/ndatpg_vectors": "d5e914cced9305de168f7bc55fb96e11c8f552b3c077f61b44178003fb95c041",
-	"c2670/mero_vectors":   "7edb09845f11e13e5c7671595996d0851512b0dbc4e77bcb0d93a4a39f50d528",
+	"c2670/mero_vectors":   "219b5062913892b07790d5366c23a41430e23d2be770f546f8c18b45b71a5a95",
 	"c2670/random":         "fa2abfde780f6668378594bb26a8cf2b348f850018fcc0d41dc3b722b9aca706",
 	"c2670/mero":           "d470b70e1f818f33c0bd540140f0d46e8547c569bc11ad00a9d155584d333591",
-	"c2670/faultsim":       "31d8e53bedae8c93ced2661108943b89df5b09eb6b60faa0d4eafae9b24b8bd2",
-	"s1423/mero_vectors":   "b5914bcf9d7be7578ec6d37401c59c98000ec7eb440ec9ed409db6616f32f777",
+	"c2670/faultsim":       "0c9cb76f5e11b101a15737e27cdbfaf08e6b3b19aae580b31f11e841d296669f",
+	"s1423/mero_vectors":   "99269d4526117460f82e4f59fbd7852c6d0d4138a3fa28182514550dbe4d1ea8",
 	"s1423/random":         "e1dd4ce16e4f9e8b5d553ff44a60e67173e5bdc79051a3791d3bdf0629bcaeb6",
 	"s1423/mero":           "d470b70e1f818f33c0bd540140f0d46e8547c569bc11ad00a9d155584d333591",
-	"s1423/faultsim":       "6ede7ca8d72a43eedb334cde0f8d439e41b5bf8a06a242d9f8dd5e28f4a0e6b6",
+	"s1423/faultsim":       "20e11c0b76b54a251f46ca4ebb50b1216c79f83ae68a346d4553d303ad8bddcc",
 }
 
 // hashSet feeds every vector of ts into h, each as a 0/1 line.
@@ -63,6 +66,33 @@ func checkDetectDigest(t *testing.T, key string, workers int, h hash.Hash) {
 	}
 }
 
+// digestRandomSet draws TestDetectDigests' 1500-vector random set and
+// writes instance i's clique cube over vector 600+200i for every i that
+// activate admits; the cube's don't-cares keep the drawn bits.
+func digestRandomSet(res *Result, activate func(i int) bool) *detect.TestSet {
+	drawn := detect.RandomTestSet(res.Base, 1500, 3)
+	pos := make(map[GateID]int, len(res.Graph.InputIDs))
+	for p, id := range res.Graph.InputIDs {
+		pos[id] = p
+	}
+	random := &detect.TestSet{Inputs: drawn.Inputs}
+	for k := range drawn.Len() {
+		v := drawn.Vector(k)
+		if i := (k - 600) / 200; k >= 600 && k%200 == 0 && i < len(res.Benchmarks) && activate(i) {
+			for j, id := range drawn.Inputs {
+				switch res.Benchmarks[i].Clique.Cube.Get(pos[id]) {
+				case sim.V3One:
+					v[j] = true
+				case sim.V3Zero:
+					v[j] = false
+				}
+			}
+		}
+		random.Add(v)
+	}
+	return random
+}
+
 // TestDetectDigests runs the Random and MERO detection evaluation and
 // fault simulation over the instances Generate emits for one
 // combinational and one sequential circuit. The vector counts are chosen
@@ -84,26 +114,7 @@ func TestDetectDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 			golden := res.Base
-			drawn := detect.RandomTestSet(golden, 1500, 3)
-			pos := make(map[GateID]int, len(res.Graph.InputIDs))
-			for p, id := range res.Graph.InputIDs {
-				pos[id] = p
-			}
-			random := &detect.TestSet{Inputs: drawn.Inputs}
-			for k := range drawn.Len() {
-				v := drawn.Vector(k)
-				if i := (k - 600) / 200; k >= 600 && k%200 == 0 && i < len(res.Benchmarks) {
-					for j, id := range drawn.Inputs {
-						switch res.Benchmarks[i].Clique.Cube.Get(pos[id]) {
-						case sim.V3One:
-							v[j] = true
-						case sim.V3Zero:
-							v[j] = false
-						}
-					}
-				}
-				random.Add(v)
-			}
+			random := digestRandomSet(res, func(int) bool { return true })
 			for _, workers := range []int{1, 2} {
 				mero, err := detect.MEROContext(ctx, golden, res.RareSet,
 					detect.MEROConfig{N: 2, RandomVectors: 2100, Seed: 5, Workers: workers})
@@ -160,6 +171,93 @@ func TestDetectDigests(t *testing.T) {
 					fmt.Fprintf(hf, "%d/%d:%d\n", f.Site, f.StuckAt, cov.PerFault[f])
 				}
 				checkDetectDigest(t, name+"/faultsim", workers, hf)
+			}
+		})
+	}
+}
+
+// sharedMatchesFresh evaluates targets against ts through one shared
+// detect.Responses, in the given order and then reversed, and requires
+// every outcome to equal the target's fresh evaluation. It returns how
+// many targets stop before the set's last batch and how many run to it.
+func sharedMatchesFresh(t *testing.T, label string, golden *Netlist, ts *detect.TestSet, targets []detect.Target, workers int) (early, whole int) {
+	t.Helper()
+	ctx := context.Background()
+	cfg := detect.EvalConfig{Workers: workers}
+	fresh := make([]detect.Outcome, len(targets))
+	for i, tgt := range targets {
+		o, err := detect.EvaluateContext(ctx, tgt, ts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = o
+		if o.Triggered && o.Detected && max(o.FirstTrigger, o.FirstDetect)/512 < (ts.Len()-1)/512 {
+			early++
+		} else {
+			whole++
+		}
+	}
+	for _, reverse := range []bool{false, true} {
+		shared := detect.NewResponses(golden, ts, cfg)
+		for k := range targets {
+			i := k
+			if reverse {
+				i = len(targets) - 1 - k
+			}
+			got, err := shared.Evaluate(ctx, targets[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != fresh[i] {
+				t.Errorf("%s (workers %d, reversed %v): target %d shared %+v, fresh %+v", label, workers, reverse, i, got, fresh[i])
+			}
+		}
+	}
+	return early, whole
+}
+
+// TestSharedResponsesMatchFresh: every instance TestDetectDigests
+// generates gets the same outcome through one detect.Responses per set,
+// as Table II evaluates, as through a fresh evaluation, at one and two
+// workers and in either target order. On the digest's random set the
+// targets stop at different batches, on its MERO set every one runs to
+// the end, and a random set that activates only the first two
+// instances mixes early stops with whole-set runs.
+func TestSharedResponsesMatchFresh(t *testing.T) {
+	for _, name := range []string{"c2670", "s1423"} {
+		t.Run(name, func(t *testing.T) {
+			n, err := Circuit(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Generate(n, insertDigestConfig(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := res.Base
+			var targets []detect.Target
+			for _, b := range res.Benchmarks {
+				targets = append(targets, b.Target(golden))
+			}
+			mero, err := detect.MERO(golden, res.RareSet, detect.MEROConfig{N: 2, RandomVectors: 2100, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets := []struct {
+				label string
+				ts    *detect.TestSet
+			}{
+				{"random", digestRandomSet(res, func(int) bool { return true })},
+				{"mero", mero},
+				{"random_half", digestRandomSet(res, func(i int) bool { return i < 2 })},
+			}
+			for _, s := range sets {
+				for _, workers := range []int{1, 2} {
+					early, whole := sharedMatchesFresh(t, name+"/"+s.label, golden, s.ts, targets, workers)
+					if s.label == "random_half" && (early == 0 || whole == 0) {
+						t.Fatalf("%s/%s: %d early and %d whole-set targets, want both", name, s.label, early, whole)
+					}
+				}
 			}
 		})
 	}

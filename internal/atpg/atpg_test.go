@@ -3,6 +3,7 @@ package atpg
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -618,23 +619,101 @@ func TestPlanesMatchFullSimulation(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWorkersMatchSerial: with a worker budget the observation
-// distances are computed beside SCOAP; the analysis must equal the
-// serial one, on a combinational and a sequential circuit, on fresh
-// netlists so SCOAP is computed during the overlap.
-func TestAnalyzeWorkersMatchSerial(t *testing.T) {
+// TestObsDistOnFirstDetect: Justify never computes the observation
+// distances, and the first Detect on an analysis computes them once,
+// whichever engine runs it: two engines' concurrent first Detects share
+// one computation (the race target runs this under -race). The result
+// is the map a direct computation gives.
+func TestObsDistOnFirstDetect(t *testing.T) {
 	for _, name := range []string{"c2670", "s1423"} {
-		serial, err := Analyze(gen.MustBenchmark(name), 1)
+		n := gen.MustBenchmark(name)
+		a, err := Analyze(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Analyze(gen.MustBenchmark(name), 2)
-		if err != nil {
-			t.Fatal(err)
+		reg := obs.NewRegistry()
+		builds := reg.Counter("atpg.obs_dist_builds")
+		e := a.NewEngine()
+		e.SetRegistry(reg)
+		e.MaxBacktracks = 50
+		for id := range n.Gates {
+			for v := uint8(0); v < 2; v++ {
+				e.Justify(netlist.GateID(id), v)
+			}
 		}
-		if !reflect.DeepEqual(par.obsDist, serial.obsDist) || !reflect.DeepEqual(par.topoPos, serial.topoPos) ||
-			!reflect.DeepEqual(par.inputPos, serial.inputPos) || !reflect.DeepEqual(*par.sc, *serial.sc) {
-			t.Fatalf("%s: the analysis at 2 workers differs from the serial one", name)
+		if a.obsDist != nil || builds.Value() != 0 {
+			t.Fatalf("%s: Justify computed the observation distances", name)
+		}
+		engines := []*Engine{a.NewEngine(), a.NewEngine()}
+		var wg sync.WaitGroup
+		for k, e := range engines {
+			e.SetRegistry(reg)
+			e.MaxBacktracks = 50
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e.Detect(a.topo[len(a.topo)/2+k], 0)
+			}()
+		}
+		wg.Wait()
+		if got := builds.Value(); got != 1 {
+			t.Fatalf("%s: two first Detects computed the distances %d times, want once", name, got)
+		}
+		ref := &Analysis{n: n}
+		ref.computeObsDist()
+		if !reflect.DeepEqual(a.obsDist, ref.obsDist) {
+			t.Fatalf("%s: the shared distances differ from a direct computation", name)
+		}
+	}
+}
+
+// TestPODEMCountersMatchStats: two engines run a fixed batch of Justify
+// and Detect searches side by side under a scoped registry. Each search
+// adds its implications and backtracks once, as it returns, so the
+// scoped counters and the parent they mirror into must equal the
+// engines' summed Stats.
+func TestPODEMCountersMatchStats(t *testing.T) {
+	n := gen.MustBenchmark("c3540")
+	a, err := Analyze(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := obs.NewRegistry()
+	reg := obs.NewScoped(parent)
+	engines := []*Engine{a.NewEngine(), a.NewEngine()}
+	var wg sync.WaitGroup
+	for k, e := range engines {
+		e.SetRegistry(reg)
+		e.MaxBacktracks = 20
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Every seventh gate, alternating between the engines.
+			for id := 7 * k; id < len(n.Gates); id += 14 {
+				e.Justify(netlist.GateID(id), uint8(id/2%2))
+				e.Detect(netlist.GateID(id), uint8(id/2%2))
+			}
+		}()
+	}
+	wg.Wait()
+	var sum Stats
+	for _, e := range engines {
+		sum.Calls += e.Stats.Calls
+		sum.Backtracks += e.Stats.Backtracks
+		sum.Implies += e.Stats.Implies
+	}
+	if sum.Backtracks == 0 || sum.Implies == 0 {
+		t.Fatalf("the batch did no search work: %+v", sum)
+	}
+	for _, r := range []*obs.Registry{reg, parent} {
+		for name, want := range map[string]int64{
+			"atpg.podem_calls":        sum.Calls,
+			"atpg.podem_backtracks":   sum.Backtracks,
+			"atpg.podem_implications": sum.Implies,
+		} {
+			if got := r.Counter(name).Value(); got != want {
+				t.Errorf("%s = %d, want the engines' summed %d", name, got, want)
+			}
 		}
 	}
 }

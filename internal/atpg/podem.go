@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"cghti/internal/netlist"
 	"cghti/internal/obs"
@@ -22,6 +23,7 @@ type meters struct {
 	untestable   *obs.Counter
 	implies      *obs.Counter
 	abortImplies *obs.Counter // implications spent by runs that aborted
+	obsDist      *obs.Counter // analyses whose first Detect computed the observation distances
 }
 
 func metersFor(r *obs.Registry) *meters {
@@ -39,6 +41,7 @@ func newMeters(r *obs.Registry) *meters {
 		untestable:   r.Counter("atpg.podem_untestable"),
 		implies:      r.Counter("atpg.podem_implications"),
 		abortImplies: r.Counter("atpg.podem_abort_implications"),
+		obsDist:      r.Counter("atpg.obs_dist_builds"),
 	}
 }
 
@@ -78,7 +81,9 @@ const DefaultMaxBacktracks = 4000
 // distance-to-observation map used to steer D-frontier selection. It
 // costs O(gates) time and memory to build, so a worker pool analyzes a
 // netlist once and gives every worker its own Engine over the shared
-// Analysis. Safe for concurrent use.
+// Analysis. Only Detect reads the observation distances, so the first
+// Detect on any of its engines computes them, once. Safe for concurrent
+// use.
 type Analysis struct {
 	n        *netlist.Netlist
 	inputs   []netlist.GateID
@@ -86,7 +91,8 @@ type Analysis struct {
 	topo     []netlist.GateID
 	topoPos  []int32 // GateID -> position in topo
 	sc       *netlist.SCOAP
-	obsDist  []int32 // min #gates to an observable net (0 = observable); -1 if none
+	obsOnce  sync.Once
+	obsDist  []int32 // min #gates to an observable net (0 = observable); -1 if none; set by obsOnce
 }
 
 // Engine runs PODEM against one netlist, over an Analysis of it.
@@ -159,10 +165,10 @@ type Stats struct {
 	Implies    int64
 }
 
-// NewEngine prepares a PODEM engine for n: a serial Analyze followed
-// by Analysis.NewEngine.
+// NewEngine prepares a PODEM engine for n: Analyze followed by
+// Analysis.NewEngine.
 func NewEngine(n *netlist.Netlist) (*Engine, error) {
-	a, err := Analyze(n, 1)
+	a, err := Analyze(n)
 	if err != nil {
 		return nil, err
 	}
@@ -170,11 +176,14 @@ func NewEngine(n *netlist.Netlist) (*Engine, error) {
 }
 
 // Analyze computes the read-only PODEM analysis of n, levelizing it if
-// needed. With a worker budget above 1 the observation distances are
-// computed on their own goroutine while SCOAP runs. n must not be
-// mutated while the analysis or any engine built from it is in use.
-func Analyze(n *netlist.Netlist, workers int) (*Analysis, error) {
+// needed. n must not be mutated while the analysis or any engine built
+// from it is in use.
+func Analyze(n *netlist.Netlist) (*Analysis, error) {
 	topo, err := n.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	sc, err := n.SCOAP()
 	if err != nil {
 		return nil, err
 	}
@@ -184,23 +193,7 @@ func Analyze(n *netlist.Netlist, workers int) (*Analysis, error) {
 		inputPos: make([]int32, len(n.Gates)),
 		topo:     topo,
 		topoPos:  make([]int32, len(n.Gates)),
-	}
-	var obsDone chan struct{}
-	if workers > 1 {
-		obsDone = make(chan struct{})
-		go func() {
-			defer close(obsDone)
-			a.computeObsDist()
-		}()
-	}
-	a.sc, err = n.SCOAP()
-	if obsDone != nil {
-		<-obsDone
-	} else {
-		a.computeObsDist()
-	}
-	if err != nil {
-		return nil, err
+		sc:       sc,
 	}
 	for i := range a.inputPos {
 		a.inputPos[i] = -1
@@ -237,6 +230,13 @@ func (e *Engine) SetRegistry(r *obs.Registry) { e.met = metersFor(r) }
 // InputIDs returns the ordered combinational input list cubes are
 // expressed over.
 func (a *Analysis) InputIDs() []netlist.GateID { return a.inputs }
+
+// observe computes the analysis' observation distances, counting the
+// build against the engine's registry. Run it through obsOnce.
+func (e *Engine) observe() {
+	e.computeObsDist()
+	e.met.obsDist.Inc()
+}
 
 // computeObsDist fills obsDist with the minimum number of fanout hops
 // from each gate to an observable net (PO or DFF data input).
@@ -316,6 +316,10 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 		e.assign[pos] = wantV
 	}
 
+	if propagate {
+		e.obsOnce.Do(e.observe)
+	}
+
 	// Restrict implication to the target's cone: justification only
 	// depends on TFI(target); detection additionally needs TFO(target)
 	// and the justification cones of everything on those paths. This
@@ -323,19 +327,24 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 	e.prepareCone(target, propagate)
 	e.start(target, wantV, propagate)
 
+	// The run counts its implications and backtracks here and adds them
+	// to Stats and the shared counters once, as it returns.
 	stack := e.stack[:0]
-	defer func() { e.stack = stack[:0] }()
-	backtracks := 0
-	var implies int64
-	maxBT := e.MaxBacktracks
+	var implies, backtracks int64
+	defer func() {
+		e.stack = stack[:0]
+		e.Stats.Implies += implies
+		e.Stats.Backtracks += backtracks
+		e.met.implies.Add(implies)
+		e.met.backtracks.Add(backtracks)
+	}()
+	maxBT := int64(e.MaxBacktracks)
 	if maxBT <= 0 {
 		maxBT = DefaultMaxBacktracks
 	}
 
 	for {
 		implies++
-		e.Stats.Implies++
-		e.met.implies.Inc()
 
 		ok, failed := e.status(target, wantV, propagate)
 		if ok {
@@ -364,8 +373,6 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 			top := &stack[len(stack)-1]
 			if !top.flipped {
 				backtracks++
-				e.Stats.Backtracks++
-				e.met.backtracks.Inc()
 				if backtracks > maxBT {
 					e.met.aborts.Inc()
 					e.met.abortImplies.Add(implies)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cghti/internal/gen"
+	"cghti/internal/obs"
 	"cghti/internal/rare"
 )
 
@@ -135,6 +136,29 @@ func TestSerialProgressCountsDrops(t *testing.T) {
 		if calls != g.CubesTotal || lastDone != g.CubesTotal || lastTotal != g.CubesTotal {
 			t.Fatalf("workers %d: %d progress calls, last (%d, %d); want %d calls, last (%d, %d)",
 				workers, calls, lastDone, lastTotal, g.CubesTotal, g.CubesTotal, g.CubesTotal)
+		}
+	}
+}
+
+// TestBuildCubesComputesNoObsDist: cube generation only justifies, so
+// it never computes PODEM's observation distances, at any worker count.
+func TestBuildCubesComputesNoObsDist(t *testing.T) {
+	n := gen.MustBenchmark("c2670")
+	rs, err := rare.Extract(n, rare.Config{Vectors: 2000, Threshold: 0.2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		g, err := BuildCubes(obs.WithRegistry(context.Background(), reg), n, rs, BuildConfig{MaxBacktracks: 200, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls := reg.Counter("atpg.podem_calls").Value(); len(g.Cubes) == 0 || calls != int64(rs.Len()) {
+			t.Fatalf("workers %d: %d cubes from %d searches of %d candidates", workers, len(g.Cubes), calls, rs.Len())
+		}
+		if got := reg.Counter("atpg.obs_dist_builds").Value(); got != 0 {
+			t.Fatalf("workers %d: BuildCubes computed the observation distances %d times", workers, got)
 		}
 	}
 }

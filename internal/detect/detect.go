@@ -9,7 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"math/rand"
+	"math/rand/v2"
 
 	"cghti/internal/chaos"
 	"cghti/internal/netlist"
@@ -150,17 +150,24 @@ func (ts *TestSet) Load(p *sim.Packed, base int) int {
 	return min(ts.n-base, p.Patterns())
 }
 
-// drawTestSet draws count uniform vectors over inputs from seed, vector
-// by vector, one rng.Intn(2) per input: the Random scheme and MERO's
-// pool share this stream. rng.Intn(2) is (Int63()>>32)&1, so the draw
-// reads the source directly and writes each bit into its column.
+// drawTestSet draws count uniform vectors over inputs from seed: the
+// Random scheme and MERO's pool share this stream. Every pattern word is
+// one output of a PCG generator seeded with (seed, 0). Words are drawn
+// 64 vectors at a time, word w of every column in inputs order before
+// word w+1, so a set is the prefix of any larger set drawn from the
+// same seed; the bits past count are cleared.
 func drawTestSet(inputs []netlist.GateID, count int, seed int64) *TestSet {
 	ts := newTestSet(inputs, max(count, 0))
-	src := rand.NewSource(seed)
-	for i := range ts.n {
-		w, b := i/64, uint(i%64)
+	src := rand.NewPCG(uint64(seed), 0)
+	words := (ts.n + 63) / 64
+	for w := range words {
 		for _, col := range ts.cols {
-			col[w] |= uint64(src.Int63()>>32&1) << b
+			col[w] = src.Uint64()
+		}
+	}
+	if tail := ts.n % 64; tail != 0 {
+		for _, col := range ts.cols {
+			col[words-1] &= 1<<uint(tail) - 1
 		}
 	}
 	return ts
@@ -237,36 +244,108 @@ func EvaluateConfig(tgt Target, ts *TestSet, cfg EvalConfig) (Outcome, error) {
 // checked once per simulation batch. On cancellation the outcome
 // reflects the vectors evaluated so far (a vector that already
 // triggered or detected stays recorded) and ctx's error is returned.
+// It evaluates through golden responses of its own; targets that share
+// a golden netlist and a set share one Responses instead.
 func EvaluateContext(ctx context.Context, tgt Target, ts *TestSet, cfg EvalConfig) (Outcome, error) {
+	r := NewResponses(tgt.Golden, ts, cfg)
+	r.private = true
+	return r.Evaluate(ctx, tgt)
+}
+
+// Responses are a golden netlist's combinational output words under one
+// test set: what every target evaluated against that set is compared
+// with. A batch is simulated by the first evaluation that reaches it
+// and kept, so the targets that share a Responses simulate the golden
+// circuit once between them. The set must not change while its
+// Responses are in use. Not safe for concurrent use.
+type Responses struct {
+	golden *netlist.Netlist
+	ts     *TestSet
+	cfg    EvalConfig
+	outs   []netlist.GateID
+	// batches[b] holds batch b's output words: output k, word w at
+	// k*evalWords+w.
+	batches [][]uint64
+	// private marks EvaluateContext's own responses: its one evaluation
+	// never goes back a batch, so each batch reuses the previous one's
+	// words and leaves nil behind.
+	private bool
+}
+
+// NewResponses returns golden's responses to ts, simulated on demand
+// with cfg's worker budget. Nothing is simulated yet.
+func NewResponses(golden *netlist.Netlist, ts *TestSet, cfg EvalConfig) *Responses {
+	return &Responses{golden: golden, ts: ts, cfg: cfg, outs: golden.CombOutputs()}
+}
+
+// batch returns the golden output words of batch b, simulating it on
+// *gp (acquired on first need) when no evaluation has reached it yet.
+// Evaluations walk the batches in order, so b is at most one past the
+// last one kept.
+func (r *Responses) batch(b int, gp **sim.Packed, reg *obs.Registry) ([]uint64, error) {
+	if b < len(r.batches) {
+		return r.batches[b], nil
+	}
+	if *gp == nil {
+		p, err := sim.AcquirePacked(r.golden, evalWords)
+		if err != nil {
+			return nil, err
+		}
+		p.SetWorkers(r.cfg.Workers)
+		p.SetRegistry(reg)
+		*gp = p
+	}
+	p := *gp
+	r.ts.Load(p, b*64*evalWords)
+	p.Run()
+	var words []uint64
+	if r.private && b > 0 {
+		words, r.batches[b-1] = r.batches[b-1], nil
+	} else {
+		words = make([]uint64, len(r.outs)*evalWords)
+	}
+	for k, g := range r.outs {
+		for w := range evalWords {
+			words[k*evalWords+w] = p.Word(g, w)
+		}
+	}
+	r.batches = append(r.batches, words)
+	return words, nil
+}
+
+// Evaluate simulates the set on tgt.Infected, which must be evaluated
+// over the golden netlist the responses belong to, and compares it
+// with the golden responses batch by batch. It stops at the first
+// batch by which both events have happened; cancellation behaves as in
+// EvaluateContext.
+func (r *Responses) Evaluate(ctx context.Context, tgt Target) (Outcome, error) {
 	reg := obs.FromContext(ctx)
 	metersFor(reg).evaluations.Inc()
 	out := Outcome{FirstTrigger: -1, FirstDetect: -1}
+	if tgt.Golden != r.golden {
+		return out, fmt.Errorf("detect: the target's golden netlist is not the one the responses belong to")
+	}
+	ts := r.ts
 	if ts.Len() == 0 {
 		return out, nil
 	}
-	goldenOuts := tgt.Golden.CombOutputs()
 	infectedOuts := tgt.Infected.CombOutputs()
-	if len(infectedOuts) < len(goldenOuts) {
+	if len(infectedOuts) < len(r.outs) {
 		return out, fmt.Errorf("detect: infected netlist has fewer outputs than golden")
 	}
 
-	gp, err := sim.AcquirePacked(tgt.Golden, evalWords)
-	if err != nil {
-		return out, err
-	}
-	defer sim.ReleasePacked(gp)
-	gp.SetWorkers(cfg.Workers)
-	gp.SetRegistry(reg)
+	var gp *sim.Packed
+	defer func() { sim.ReleasePacked(gp) }()
 	ip, err := sim.AcquirePacked(tgt.Infected, evalWords)
 	if err != nil {
 		return out, err
 	}
 	defer sim.ReleasePacked(ip)
-	ip.SetWorkers(cfg.Workers)
+	ip.SetWorkers(r.cfg.Workers)
 	ip.SetRegistry(reg)
 
 	ctxDone := ctx.Done()
-	for base := 0; base < ts.Len(); base += gp.Patterns() {
+	for b, base := 0, 0; base < ts.Len(); b, base = b+1, base+ip.Patterns() {
 		select {
 		case <-ctxDone:
 			return out, ctx.Err()
@@ -275,11 +354,13 @@ func EvaluateContext(ctx context.Context, tgt Target, ts *TestSet, cfg EvalConfi
 		if err := chaos.Hit(stage.Evaluate, 0); err != nil {
 			return out, err
 		}
+		golden, err := r.batch(b, &gp, reg)
+		if err != nil {
+			return out, err
+		}
 		// Inputs load identically into both circuits: the infected
 		// netlist shares IDs with golden for all original gates.
-		count := ts.Load(gp, base)
-		ts.Load(ip, base)
-		gp.Run()
+		count := ts.Load(ip, base)
 		ip.Run()
 		// Word by word, all outputs at once: the first set bit of a
 		// word's firing or difference lanes is the earliest vector. The
@@ -303,8 +384,8 @@ func EvaluateContext(ctx context.Context, tgt Target, ts *TestSet, cfg EvalConfi
 			}
 			if !out.Detected {
 				var diff uint64
-				for k, g := range goldenOuts {
-					diff |= gp.Word(g, w) ^ ip.Word(infectedOuts[k], w)
+				for k, id := range infectedOuts[:len(r.outs)] {
+					diff |= golden[k*evalWords+w] ^ ip.Word(id, w)
 				}
 				if diff &= live; diff != 0 {
 					out.Detected = true

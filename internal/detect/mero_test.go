@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -12,13 +11,13 @@ import (
 )
 
 // meroSerial is MERO one vector at a time over the scalar evaluator:
-// score and sort the pool, flip one input at a time keeping a flip only
-// if it beats the vector's best, then the improve/accumulate step. It
-// also returns how many pool vectors it took before stopping.
+// take the pool from the Random scheme's draw, score and sort it, flip
+// one input at a time keeping a flip only if it beats the vector's
+// best, then the improve/accumulate step. It also returns how many pool
+// vectors it took before stopping.
 func meroSerial(t *testing.T, n *netlist.Netlist, rs *rare.Set, cfg MEROConfig) ([][]bool, int) {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	inputs := n.CombInputs()
 	nodes := rs.All()
 	atRare := func(v []bool) []bool {
@@ -50,12 +49,10 @@ func meroSerial(t *testing.T, n *netlist.Netlist, rs *rare.Set, cfg MEROConfig) 
 		return h
 	}
 
-	pool := make([][]bool, cfg.RandomVectors)
+	drawn := drawTestSet(inputs, cfg.RandomVectors, cfg.Seed)
+	pool := make([][]bool, drawn.Len())
 	for i := range pool {
-		pool[i] = make([]bool, len(inputs))
-		for j := range pool[i] {
-			pool[i][j] = rng.Intn(2) == 1
-		}
+		pool[i] = drawn.Vector(i)
 	}
 	score := make([]int, len(pool))
 	for i, v := range pool {
@@ -109,7 +106,8 @@ func meroSerial(t *testing.T, n *netlist.Netlist, rs *rare.Set, cfg MEROConfig) 
 // TestMEROMatchesSerial requires the lock-step climb to emit exactly the
 // serial loop's vectors, at one and two workers, on pools that end at,
 // just before and just after a word and a batch edge, with one N no pool
-// here satisfies and one that stops partway through a batch.
+// here satisfies and two that stop early: on this draw N 5 stops at a
+// word edge (320 vectors) and N 3 partway through a word.
 func TestMEROMatchesSerial(t *testing.T) {
 	n, err := gen.Random(gen.Spec{Name: "r", PIs: 10, POs: 4, DFFs: 2, Gates: 70, Seed: 3})
 	if err != nil {
@@ -137,7 +135,7 @@ func TestMEROMatchesSerial(t *testing.T) {
 	}
 	stoppedMidBatch := false
 	for _, pool := range []int{1, 63, 64, 2047, 2048, 2049} {
-		for _, N := range []int{1000, 5} {
+		for _, N := range []int{1000, 5, 3} {
 			cfg := MEROConfig{N: N, RandomVectors: pool, Seed: 4}
 			want, taken := meroSerial(t, n, rs, cfg)
 			if taken < pool && taken%64 != 0 {

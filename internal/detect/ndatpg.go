@@ -63,7 +63,7 @@ func NDATPG(n *netlist.Netlist, rs *rare.Set, cfg NDATPGConfig) (*TestSet, error
 func NDATPGContext(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg NDATPGConfig) (*TestSet, error) {
 	cfg = cfg.withDefaults()
 	events := rs.All()
-	an, err := atpg.Analyze(n, cfg.Workers)
+	an, err := atpg.Analyze(n)
 	if err != nil {
 		return nil, err
 	}

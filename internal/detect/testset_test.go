@@ -3,6 +3,7 @@ package detect
 import (
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"testing"
 
 	"cghti/internal/bench"
@@ -11,9 +12,28 @@ import (
 	"cghti/internal/sim"
 )
 
-// referenceDraw is the Random scheme's stream drawn the plain way:
-// vector by vector, one rng.Intn(2) per input.
+// referenceDraw is the Random scheme's stream drawn the plain way: for
+// each run of 64 vectors, one PCG word per input in order, whose bit i
+// is that input of the run's vector i.
 func referenceDraw(inputs, count int, seed int64) [][]bool {
+	src := randv2.NewPCG(uint64(seed), 0)
+	out := make([][]bool, count)
+	for i := range out {
+		out[i] = make([]bool, inputs)
+	}
+	for base := 0; base < count; base += 64 {
+		for j := range inputs {
+			word := src.Uint64()
+			for i := base; i < min(base+64, count); i++ {
+				out[i][j] = word>>uint(i-base)&1 == 1
+			}
+		}
+	}
+	return out
+}
+
+// coinVectors returns count vectors of one rng.Intn(2) per input.
+func coinVectors(inputs, count int, seed int64) [][]bool {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([][]bool, count)
 	for i := range out {
@@ -42,10 +62,13 @@ func streamCircuits(t *testing.T) []*netlist.Netlist {
 	return out
 }
 
-// TestRandomTestSetStream pins the word-writing draw to the rng.Intn(2)
-// stream, bit for bit, across empty, partial and whole words.
+// TestRandomTestSetStream pins the word draw to the reference loop, bit
+// for bit, across empty, partial and whole words: the bits past Len()
+// are zero, and every set is the prefix of the 1000-vector set drawn
+// from the same seed.
 func TestRandomTestSetStream(t *testing.T) {
 	for _, n := range streamCircuits(t) {
+		full := RandomTestSet(n, 1000, 7)
 		for _, count := range []int{0, 1, 63, 64, 65, 1000} {
 			ts := RandomTestSet(n, count, 7)
 			want := referenceDraw(len(n.CombInputs()), count, 7)
@@ -55,6 +78,17 @@ func TestRandomTestSetStream(t *testing.T) {
 			for i, v := range want {
 				if got := ts.Vector(i); fmt.Sprint(got) != fmt.Sprint(v) {
 					t.Fatalf("%s/%d: vector %d is %v, want %v", n.Name, count, i, got, v)
+				}
+				if got := full.Vector(i); fmt.Sprint(got) != fmt.Sprint(v) {
+					t.Fatalf("%s/%d: vector %d is not vector %d of the 1000-vector set", n.Name, count, i, i)
+				}
+			}
+			for j, col := range ts.cols {
+				if len(col) != (count+63)/64 {
+					t.Fatalf("%s/%d: column %d has %d words", n.Name, count, j, len(col))
+				}
+				if count%64 != 0 && col[len(col)-1]>>uint(count%64) != 0 {
+					t.Fatalf("%s/%d: column %d has bits set past Len()", n.Name, count, j)
 				}
 			}
 		}
@@ -68,7 +102,7 @@ func TestRandomTestSetStream(t *testing.T) {
 // lanes) in a partial batch (188 of 512 lanes, 3 of 8 words).
 func TestTestSetRoundTrip(t *testing.T) {
 	n := gen.MustBenchmark("c2670")
-	want := referenceDraw(len(n.CombInputs()), 700, 3)
+	want := coinVectors(len(n.CombInputs()), 700, 3)
 	ts := &TestSet{Inputs: n.CombInputs()}
 	for _, v := range want {
 		ts.Add(v)

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"testing"
 )
 
@@ -77,5 +78,15 @@ func TestEvaluateWorkersIdentical(t *testing.T) {
 		if got != ref {
 			t.Fatalf("workers=%d: outcome %+v, want %+v", workers, got, ref)
 		}
+	}
+}
+
+// TestResponsesRejectOtherGolden: responses simulated on one netlist
+// must not be compared with a target over another golden netlist.
+func TestResponsesRejectOtherGolden(t *testing.T) {
+	tgt, _, _, _ := fixture(t, 24)
+	r := NewResponses(tgt.Infected, RandomTestSet(tgt.Golden, 100, 1), EvalConfig{Workers: 1})
+	if _, err := r.Evaluate(context.Background(), tgt); err == nil {
+		t.Fatal("Evaluate accepted a target whose golden netlist the responses were not simulated on")
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -85,53 +86,23 @@ func Table2(o Options) (*Table2Result, error) {
 		}
 	}
 
-	instances := o.scale(5, 100)
-	rareVectors := o.scale(2000, rare.DefaultVectors)
-	rareCap := o.scale(500, 1500)
-	randomPatterns := o.scale(5000, 100000)
-	meroN := o.scale(5, 1000)
-	meroPool := o.scale(400, 100000)
-	ndN := o.scale(2, 5)
-	proposedQ := o.scale(8, 25)
-	maxBT := o.scale(600, 4000)
-
 	for _, name := range o.Circuits {
-		n, err := loadCircuit(name)
+		in, err := table2Inputs(o, name)
 		if err != nil {
 			return nil, err
 		}
-		rs, err := o.extractRare(n, rare.Config{Vectors: rareVectors, Threshold: rare.DefaultThreshold, Seed: o.Seed, Workers: o.Workers})
-		if err != nil {
-			return nil, err
+		// Every target of the circuit is compared with one set of golden
+		// responses per scheme.
+		golden := map[Scheme]*detect.Responses{}
+		for s, ts := range in.sets {
+			golden[s] = detect.NewResponses(in.n, ts, detect.EvalConfig{Workers: o.Workers})
 		}
-		capped := capRareSet(rs, rareCap)
-
-		// Build the three detection test sets once per circuit.
-		randomTS := detect.RandomTestSet(n, randomPatterns, o.Seed+1)
-		meroTS, err := detect.MERO(n, capped, detect.MEROConfig{N: meroN, RandomVectors: meroPool, Seed: o.Seed + 2, Workers: o.Workers})
-		if err != nil {
-			return nil, err
-		}
-		ndTS, err := detect.NDATPG(n, capped, detect.NDATPGConfig{N: ndN, MaxBacktracks: maxBT, Seed: o.Seed + 3, Workers: o.Workers})
-		if err != nil {
-			return nil, err
-		}
-		schemeTS := map[Scheme]*detect.TestSet{
-			SchemeRandom: randomTS,
-			SchemeMERO:   meroTS,
-			SchemeNDATPG: ndTS,
-		}
-
-		targets, err := buildFamilies(o, n, rs, capped, instances, proposedQ, maxBT)
-		if err != nil {
-			return nil, err
-		}
-		for fam, list := range targets {
+		for fam, list := range in.targets {
 			res.Generated[fam][name] = len(list)
 			for _, s := range res.Schemes {
 				cov := detect.Coverage{}
 				for _, tgt := range list {
-					out, err := detect.EvaluateConfig(tgt, schemeTS[s], detect.EvalConfig{Workers: o.Workers})
+					out, err := golden[s].Evaluate(context.Background(), tgt)
 					if err != nil {
 						return nil, err
 					}
@@ -144,6 +115,57 @@ func Table2(o Options) (*Table2Result, error) {
 	res.Elapsed = time.Since(start)
 	printTable2(o, res)
 	return res, nil
+}
+
+// circuitInputs is what Table II evaluates on one circuit: the golden
+// netlist, its three detection sets and its families' targets.
+type circuitInputs struct {
+	n       *netlist.Netlist
+	sets    map[Scheme]*detect.TestSet
+	targets map[Family][]detect.Target
+}
+
+// table2Inputs builds one circuit's detection sets (each once) and
+// infected netlists at o's scale.
+func table2Inputs(o Options, name string) (*circuitInputs, error) {
+	instances := o.scale(5, 100)
+	rareVectors := o.scale(2000, rare.DefaultVectors)
+	rareCap := o.scale(500, 1500)
+	randomPatterns := o.scale(5000, 100000)
+	meroN := o.scale(5, 1000)
+	meroPool := o.scale(400, 100000)
+	ndN := o.scale(2, 5)
+	proposedQ := o.scale(8, 25)
+	maxBT := o.scale(600, 4000)
+
+	n, err := loadCircuit(name)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := o.extractRare(n, rare.Config{Vectors: rareVectors, Threshold: rare.DefaultThreshold, Seed: o.Seed, Workers: o.Workers})
+	if err != nil {
+		return nil, err
+	}
+	capped := capRareSet(rs, rareCap)
+
+	randomTS := detect.RandomTestSet(n, randomPatterns, o.Seed+1)
+	meroTS, err := detect.MERO(n, capped, detect.MEROConfig{N: meroN, RandomVectors: meroPool, Seed: o.Seed + 2, Workers: o.Workers})
+	if err != nil {
+		return nil, err
+	}
+	ndTS, err := detect.NDATPG(n, capped, detect.NDATPGConfig{N: ndN, MaxBacktracks: maxBT, Seed: o.Seed + 3, Workers: o.Workers})
+	if err != nil {
+		return nil, err
+	}
+	targets, err := buildFamilies(o, n, rs, capped, instances, proposedQ, maxBT)
+	if err != nil {
+		return nil, err
+	}
+	return &circuitInputs{
+		n:       n,
+		sets:    map[Scheme]*detect.TestSet{SchemeRandom: randomTS, SchemeMERO: meroTS, SchemeNDATPG: ndTS},
+		targets: targets,
+	}, nil
 }
 
 // buildFamilies produces the per-family infected netlists for one

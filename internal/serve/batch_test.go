@@ -151,8 +151,8 @@ func TestBatchSmoke(t *testing.T) {
 		return jobs
 	}
 
-	// Phase A: serial baseline — one worker.
-	serial := New(Config{Workers: 1, QueueDepth: 16})
+	// Phase A: serial baseline — one job at a time, each on one core.
+	serial := New(Config{Workers: 1, QueueDepth: 16, JobWorkers: 1})
 	serial.Start()
 	sts := httptest.NewServer(serial.Handler())
 	baseline := mkJobs()

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,8 +89,9 @@ type Config struct {
 	// request may ask for less via timeout_ms but never more.
 	JobTimeout time.Duration
 	// JobWorkers is the per-job simulation/ATPG goroutine budget
-	// (1 if 0). Kept small by default: the pool's concurrency comes
-	// from running jobs in parallel, not from fanning out inside one.
+	// (GOMAXPROCS if ≤ 0, as for every other Workers setting). A job
+	// that runs beside a short one then has the idle cores to itself.
+	// No result depends on it.
 	JobWorkers int
 	// Cache is the artifact store shared by every job (a fresh
 	// memory-only cache if nil).
@@ -135,7 +137,7 @@ func (c Config) withDefaults() Config {
 		c.JobTimeout = DefaultJobTimeout
 	}
 	if c.JobWorkers <= 0 {
-		c.JobWorkers = 1
+		c.JobWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.Cache == nil {
 		c.Cache = artifact.NewCache(0, 0)
