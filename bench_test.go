@@ -493,19 +493,53 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 	}
 }
 
+// BenchmarkVerify measures Result.Verify, the three-valued re-proof of
+// every instance's trigger cone, on the inputs BenchmarkTriggerInsertion
+// uses: 8 instances on s35932 and 2 on a 10⁵-gate SoC.
+func BenchmarkVerify(b *testing.B) {
+	for _, tc := range insertionCases {
+		b.Run(tc.circuit, func(b *testing.B) {
+			n, err := cghti.Circuit(tc.circuit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := tc.cfg
+			cfg.Instances, cfg.Seed = tc.instances, 1
+			res, err := cghti.Generate(n, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Benchmarks) != tc.instances {
+				b.Fatalf("%d instances, want %d", len(res.Benchmarks), tc.instances)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := res.Verify(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// insertionCases are the circuits and configurations of the insertion
+// and verification benchmarks.
+var insertionCases = []struct {
+	circuit   string
+	instances int
+	cfg       cghti.Config
+}{
+	{"s35932", 8, cghti.Config{RareVectors: 2000, MinTriggerNodes: 8}},
+	{"soc:100000", 2, cghti.Config{RareVectors: 512, RareThreshold: 0.08, MaxRareNodes: 32, MaxBacktracks: 64, Partitions: 16}},
+}
+
 // BenchmarkTriggerInsertion isolates Algorithm 3: the insert stage as
 // Generate runs it (trigger synthesis, victim choice and splicing of
 // every instance into one base netlist), over cliques precomputed by one
 // Generate — 8 instances on s35932 and 2 on a 10⁵-gate SoC.
 func BenchmarkTriggerInsertion(b *testing.B) {
-	for _, tc := range []struct {
-		circuit   string
-		instances int
-		cfg       cghti.Config
-	}{
-		{"s35932", 8, cghti.Config{RareVectors: 2000, MinTriggerNodes: 8}},
-		{"soc:100000", 2, cghti.Config{RareVectors: 512, RareThreshold: 0.08, MaxRareNodes: 32, MaxBacktracks: 64, Partitions: 16}},
-	} {
+	for _, tc := range insertionCases {
 		b.Run(tc.circuit, func(b *testing.B) {
 			n, err := cghti.Circuit(tc.circuit)
 			if err != nil {

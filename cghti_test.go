@@ -61,6 +61,88 @@ func TestGenerateVerify(t *testing.T) {
 	}
 }
 
+// wholeEval3 is a whole-netlist three-valued simulation of cube over
+// inputs, the reference for Verify's trigger-cone simulation.
+func wholeEval3(t *testing.T, n *Netlist, inputs []netlist.GateID, cube Cube) []sim.V3 {
+	t.Helper()
+	topo, err := n.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]sim.V3, len(n.Gates))
+	for i := range vals {
+		vals[i] = sim.V3X
+	}
+	for pos, id := range inputs {
+		vals[id] = cube.Get(pos)
+	}
+	for _, id := range topo {
+		if g := &n.Gates[id]; g.Type != netlist.Input && g.Type != netlist.DFF {
+			in := make([]sim.V3, len(g.Fanin))
+			for i, f := range g.Fanin {
+				in[i] = vals[f]
+			}
+			vals[id] = sim.EvalGate3(g.Type, in)
+		}
+	}
+	return vals
+}
+
+// TestVerifyFlippedCareBit: Verify simulates only the trigger nodes'
+// fanin cone. For every care bit of every emitted cube that an input of
+// that cone holds, the cube with the bit flipped fails Verify exactly
+// when a whole-netlist simulation leaves some trigger node off its rare
+// value, and some flip does fail.
+func TestVerifyFlippedCareBit(t *testing.T) {
+	n, err := Circuit("c2670")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Generate(n, insertDigestConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	flips, fails := 0, 0
+	for _, b := range res.Benchmarks {
+		nodes := b.Clique.Nodes(res.Graph)
+		cone := make([]bool, len(n.Gates))
+		for _, nd := range nodes {
+			for id, in := range n.TransitiveFanin(nd.ID) {
+				cone[id] = cone[id] || in
+			}
+		}
+		b.Clique.Cube.ForEachCare(func(pos int, v sim.V3) {
+			if !cone[res.Graph.InputIDs[pos]] {
+				return
+			}
+			bad := b
+			bad.Clique.Cube = b.Clique.Cube.Clone()
+			bad.Clique.Cube.Set(pos, v^1)
+			vals := wholeEval3(t, n, res.Graph.InputIDs, bad.Clique.Cube)
+			want := false
+			for _, nd := range nodes {
+				want = want || vals[nd.ID] != sim.V3(nd.RareValue)
+			}
+			r := &Result{Base: res.Base, Graph: res.Graph, Benchmarks: []Benchmark{bad}}
+			if got := r.Verify() != nil; got != want {
+				t.Fatalf("instance %d, input %d flipped: Verify fails = %v, whole-netlist simulation says %v",
+					b.Instance.Index, pos, got, want)
+			}
+			flips++
+			if want {
+				fails++
+			}
+		})
+	}
+	if fails == 0 {
+		t.Fatalf("none of %d flipped care bits failed Verify; the check is vacuous", flips)
+	}
+	t.Logf("%d of %d flipped care bits fail Verify", fails, flips)
+}
+
 func TestProveDormant(t *testing.T) {
 	res := generateSmall(t, 10)
 	for _, b := range res.Benchmarks {

@@ -9,6 +9,7 @@ import (
 	"hash"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -103,12 +104,37 @@ func checkInsertDigest(t *testing.T, key string, h hash.Hash) {
 	}
 }
 
+// CheckInstanceOrder compares an emitted instance's order, which
+// insertion derives from the base's, and every level with Levelize on a
+// copy of its gates that caches no order.
+func CheckInstanceOrder(t testing.TB, n *Netlist) {
+	t.Helper()
+	ref := &Netlist{Name: n.Name, Gates: slices.Clone(n.Gates)}
+	if err := ref.Levelize(); err != nil {
+		t.Fatalf("%s: reference Levelize: %v", n.Name, err)
+	}
+	got, err := n.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := ref.TopoOrder()
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: derived order differs from Levelize's", n.Name)
+	}
+	for i := range n.Gates {
+		if n.Gates[i].Level != ref.Gates[i].Level {
+			t.Fatalf("%s: gate %s level %d, Levelize %d", n.Name, n.Gates[i].Name, n.Gates[i].Level, ref.Gates[i].Level)
+		}
+	}
+}
+
 // TestInsertDigests runs the insertion stage on each pinned circuit for
 // every payload kind and both trigger polarities (one artifact cache per
 // circuit, so only the first run computes the upstream stages), plus one
 // insertion with a pinned victim, and compares the emitted bytes with
 // the recorded digests. Every row runs serially and on 3 workers, which
-// split the 4 instances unevenly; both must match the digest.
+// split the 4 instances unevenly; both must match the digest, and every
+// instance's order and levels must be those Levelize gives it.
 func TestInsertDigests(t *testing.T) {
 	payloads := []trojan.PayloadKind{trojan.PayloadFlip, trojan.PayloadLeakToOutput, trojan.PayloadForce}
 	for _, c := range insertDigestCircuits {
@@ -137,6 +163,7 @@ func TestInsertDigests(t *testing.T) {
 						h := sha256.New()
 						for _, b := range res.Benchmarks {
 							hashInstance(t, h, b.Netlist, b.Instance)
+							CheckInstanceOrder(t, b.Netlist)
 						}
 						pol := "high"
 						if low {
@@ -160,6 +187,7 @@ func TestInsertDigests(t *testing.T) {
 			h := sha256.New()
 			hashInstance(t, h, infected, inst)
 			checkInsertDigest(t, "c2670/pinned", h)
+			CheckInstanceOrder(t, infected)
 		})
 	}
 }

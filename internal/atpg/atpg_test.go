@@ -3,6 +3,7 @@ package atpg
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -130,6 +131,84 @@ func TestCubeFillRespectsCareBits(t *testing.T) {
 	}
 }
 
+// TestCubeFillLanes: FillLanes writes the lanes Fill would return, one
+// call per lane, and leaves the rng where those calls leave it.
+func TestCubeFillLanes(t *testing.T) {
+	for _, s := range []string{"1X0XX1", "XXXX", "0101", strings.Repeat("X1X0", 40) + "XXX"} {
+		c, err := ParseCube(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lanes := range []int{1, 16, 64} {
+			ref, rng := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+			words := make([]uint64, c.Len())
+			for i := range words {
+				words[i] = ^uint64(0) // stale bits must not survive
+			}
+			c.FillLanes(rng, words, lanes)
+			for l := 0; l < lanes; l++ {
+				for i, v := range c.Fill(ref) {
+					if got := words[i]>>l&1 == 1; got != v {
+						t.Fatalf("%s lane %d position %d: %v, Fill %v", s, l, i, got, v)
+					}
+				}
+			}
+			for i, w := range words {
+				if lanes < 64 && w>>lanes != 0 {
+					t.Fatalf("%s: position %d has bits beyond lane %d", s, i, lanes)
+				}
+			}
+			if ref.Int63() != rng.Int63() {
+				t.Fatalf("%s: FillLanes drew a different number of values from Fill", s)
+			}
+		}
+	}
+}
+
+// TestEngineResetsOnlyItsLastRun: across 1 000 mixed Justify and Detect
+// runs (input sites included, which seed the assignment) one engine
+// keeps rank at -1 for every gate outside the last run's cone, and
+// clearing the last run's decisions leaves an all-X assignment: what
+// the next run starts from.
+func TestEngineResetsOnlyItsLastRun(t *testing.T) {
+	for _, name := range []string{"s1423", "c2670"} {
+		n := gen.MustBenchmark(name)
+		e, err := NewEngine(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.MaxBacktracks = 30 // end some runs by abort, with decisions left standing
+		rng := rand.New(rand.NewSource(11))
+		for run := 0; run < 1000; run++ {
+			target := netlist.GateID(rng.Intn(len(n.Gates)))
+			if rng.Intn(2) == 0 {
+				e.Justify(target, uint8(rng.Intn(2)))
+			} else {
+				e.Detect(target, uint8(rng.Intn(2)))
+			}
+			inCone := 0
+			for id, r := range e.rank {
+				switch {
+				case r == -1:
+				case r < 0 || int(r) >= len(e.order) || e.order[r] != netlist.GateID(id):
+					t.Fatalf("%s run %d: gate %s has stale rank %d", name, run, n.Gates[id].Name, r)
+				default:
+					inCone++
+				}
+			}
+			if inCone != len(e.order) {
+				t.Fatalf("%s run %d: %d gates ranked, cone has %d", name, run, inCone, len(e.order))
+			}
+			e.clearAssign()
+			for pos, v := range e.assign {
+				if v != sim.V3X {
+					t.Fatalf("%s run %d: input %d still %v after clearing", name, run, pos, v)
+				}
+			}
+		}
+	}
+}
+
 func TestParseCubeErrors(t *testing.T) {
 	if _, err := ParseCube("10Z"); err == nil {
 		t.Fatal("ParseCube accepted Z")
@@ -161,7 +240,7 @@ func verifyJustified(t *testing.T, n *netlist.Netlist, e *Engine, cube Cube, tar
 			in[id] = val
 		}
 	}
-	vals, err := sim.Eval3(n, in)
+	vals, err := sim.Eval3(n, in, []netlist.GateID{target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +360,7 @@ func TestJustifyRandomCircuitsProperty(t *testing.T) {
 					in[id] = val
 				}
 			}
-			vals, err := sim.Eval3(n, in)
+			vals, err := sim.Eval3(n, in, []netlist.GateID{g})
 			if err != nil || vals[g] != sim.V3(v) {
 				return false
 			}
@@ -557,7 +636,8 @@ func eval3Forced(n *netlist.Netlist, topo []netlist.GateID, in map[netlist.GateI
 // hold a full three-valued simulation of the cone under the engine's
 // assignment (the faulty plane with the site forced), so trail undo and
 // counting implication lose nothing. Random circuits repeat fanins,
-// mix every gate type and feed constants; s27 adds scan flip-flops.
+// mix every gate type and feed constants; s27 adds scan flip-flops and
+// soc:10000 (a sample of its gates) cones gathered over a larger arena.
 func TestPlanesMatchFullSimulation(t *testing.T) {
 	var circuits []*netlist.Netlist
 	rng := rand.New(rand.NewSource(7))
@@ -572,11 +652,13 @@ func TestPlanesMatchFullSimulation(t *testing.T) {
 		}
 		circuits = append(circuits, n)
 	}
-	s27, err := gen.Benchmark("s27")
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"s27", "soc:10000"} {
+		n, err := gen.Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, n)
 	}
-	circuits = append(circuits, s27)
 	for ci, n := range circuits {
 		topo, err := n.TopoOrder()
 		if err != nil {
@@ -596,16 +678,22 @@ func TestPlanesMatchFullSimulation(t *testing.T) {
 			}
 			good := eval3Forced(n, topo, in, netlist.InvalidGate, 0)
 			faulty := eval3Forced(n, topo, in, target, stuck)
-			for _, id := range e.order {
-				if e.good(id) != good[id] {
-					t.Fatalf("circuit %d %s: good %s = %v, simulation %v", ci, what, n.Gates[id].Name, e.good(id), good[id])
+			for r, id := range e.order {
+				if e.val[0][r] != good[id] {
+					t.Fatalf("circuit %d %s: good %s = %v, simulation %v", ci, what, n.Gates[id].Name, e.val[0][r], good[id])
 				}
-				if propagate && e.faulty(id) != faulty[id] {
-					t.Fatalf("circuit %d %s: faulty %s = %v, simulation %v", ci, what, n.Gates[id].Name, e.faulty(id), faulty[id])
+				if propagate && e.val[1][r] != faulty[id] {
+					t.Fatalf("circuit %d %s: faulty %s = %v, simulation %v", ci, what, n.Gates[id].Name, e.val[1][r], faulty[id])
 				}
 			}
 		}
-		for id := range n.Gates {
+		// The SoC's whole-netlist references are costly: check about 60
+		// targets of it.
+		step := max(1, len(n.Gates)/60)
+		if len(n.Gates) < 1000 {
+			step = 1
+		}
+		for id := 0; id < len(n.Gates); id += step {
 			target := netlist.GateID(id)
 			for v := uint8(0); v < 2; v++ {
 				if e.inputPos[target] < 0 {
@@ -620,9 +708,9 @@ func TestPlanesMatchFullSimulation(t *testing.T) {
 }
 
 // TestObsDistOnFirstDetect: Justify never computes the observation
-// distances, and the first Detect on an analysis computes them once,
-// whichever engine runs it: two engines' concurrent first Detects share
-// one computation (the race target runs this under -race). The result
+// distances or the topological places, and the first Detect on an
+// analysis computes them once, whichever engine runs it: two engines'
+// concurrent first Detects share one computation (the race target runs this under -race). The result
 // is the map a direct computation gives.
 func TestObsDistOnFirstDetect(t *testing.T) {
 	for _, name := range []string{"c2670", "s1423"} {
@@ -641,8 +729,8 @@ func TestObsDistOnFirstDetect(t *testing.T) {
 				e.Justify(netlist.GateID(id), v)
 			}
 		}
-		if a.obsDist != nil || builds.Value() != 0 {
-			t.Fatalf("%s: Justify computed the observation distances", name)
+		if a.obsDist != nil || a.topoPos != nil || builds.Value() != 0 {
+			t.Fatalf("%s: Justify computed the observation distances or topological places", name)
 		}
 		engines := []*Engine{a.NewEngine(), a.NewEngine()}
 		var wg sync.WaitGroup
@@ -659,7 +747,7 @@ func TestObsDistOnFirstDetect(t *testing.T) {
 		if got := builds.Value(); got != 1 {
 			t.Fatalf("%s: two first Detects computed the distances %d times, want once", name, got)
 		}
-		ref := &Analysis{n: n}
+		ref := &Analysis{c: a.c}
 		ref.computeObsDist()
 		if !reflect.DeepEqual(a.obsDist, ref.obsDist) {
 			t.Fatalf("%s: the shared distances differ from a direct computation", name)

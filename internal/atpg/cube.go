@@ -175,6 +175,38 @@ func (c Cube) Fill(rng *rand.Rand) []bool {
 	return out
 }
 
+// FillLanes draws lanes completions of c, exactly as that many Fill
+// calls on rng would, and writes them straight into words: bit l of
+// words[i] is input position i in the l-th fill. words must hold Len
+// entries and lanes be at most 64.
+func (c Cube) FillLanes(rng *rand.Rand, words []uint64, lanes int) {
+	all := uint64(1)<<lanes - 1
+	for w, ones := range c.ones {
+		base := w * 64
+		for i := base; i < min(base+64, c.n); i++ {
+			words[i] = 0
+		}
+		for ; ones != 0; ones &= ones - 1 {
+			words[base+bits.TrailingZeros64(ones)] = all
+		}
+	}
+	for l := 0; l < lanes; l++ {
+		for w := range c.ones {
+			x := ^(c.ones[w] | c.zeros[w])
+			if rest := c.n - w*64; rest < 64 {
+				x &= 1<<rest - 1
+			}
+			for ; x != 0; x &= x - 1 {
+				// Fill's rng.Intn(2) is bit 32 of one Int63: Intn takes
+				// Int31n, which masks Int31 (Int63 >> 32) for a power of two.
+				if rng.Int63()>>32&1 != 0 {
+					words[w*64+bits.TrailingZeros64(x)] |= 1 << l
+				}
+			}
+		}
+	}
+}
+
 // ParseCube builds a cube from a 01X string (for tests and tools).
 func ParseCube(s string) (Cube, error) {
 	c := NewCube(len(s))

@@ -109,7 +109,7 @@ func TestJustifyCompleteAgainstExhaustive(t *testing.T) {
 							in[inputID] = val
 						}
 					}
-					vals, err := sim.Eval3(n, in)
+					vals, err := sim.Eval3(n, in, []netlist.GateID{id})
 					if err != nil {
 						t.Fatal(err)
 					}

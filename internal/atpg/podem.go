@@ -76,23 +76,25 @@ func (r Result) String() string {
 const DefaultMaxBacktracks = 4000
 
 // Analysis is the per-netlist state PODEM reads but never writes: the
-// combinational inputs and their positions, the topological order and
-// positions, SCOAP measures (backtrace guidance) and the
-// distance-to-observation map used to steer D-frontier selection. It
-// costs O(gates) time and memory to build, so a worker pool analyzes a
-// netlist once and gives every worker its own Engine over the shared
-// Analysis. Only Detect reads the observation distances, so the first
-// Detect on any of its engines computes them, once. Safe for concurrent
-// use.
+// netlist's arena form (n.Compact()), whose types and CSR fanins and
+// fanouts every search walks, the combinational inputs and their
+// positions, the topological order, SCOAP measures (backtrace guidance)
+// and, for Detect, the distance-to-observation map that steers
+// D-frontier selection and each gate's place in the topological order.
+// It costs O(gates) time and memory to build, so a worker pool analyzes
+// a netlist once and gives every worker its own Engine over the shared
+// Analysis. Only Detect reads the observation distances and places, so
+// the first Detect on any of its engines computes them, once. Safe for
+// concurrent use.
 type Analysis struct {
-	n        *netlist.Netlist
+	c        *netlist.Compact
 	inputs   []netlist.GateID
 	inputPos []int32 // GateID -> position in inputs; -1 for other gates
 	topo     []netlist.GateID
-	topoPos  []int32 // GateID -> position in topo
 	sc       *netlist.SCOAP
 	obsOnce  sync.Once
 	obsDist  []int32 // min #gates to an observable net (0 = observable); -1 if none; set by obsOnce
+	topoPos  []int32 // GateID -> position in topo; set by obsOnce
 }
 
 // Engine runs PODEM against one netlist, over an Analysis of it.
@@ -107,6 +109,11 @@ type Analysis struct {
 // the cone under the current assignment, so decisions, cubes and
 // verdicts do not depend on the evaluation strategy.
 //
+// A search touches netlist-sized memory only while it gathers its cone:
+// from then on it reads cone-local arrays indexed by rank, and the next
+// search resets only what this one set (the cone's ranks, the decided
+// inputs).
+//
 // An Engine is not safe for concurrent use; create one per goroutine.
 type Engine struct {
 	*Analysis
@@ -117,40 +124,47 @@ type Engine struct {
 	// used by the ablation benchmark.
 	NaiveBacktrace bool
 
-	// scratch
-	assign  []sim.V3         // by input position
-	relev   []bool           // gates relevant to the current target
-	order   []netlist.GateID // the cone's gates, in topological order
-	obsList []netlist.GateID // observable outputs within relev
-	tfo     []netlist.GateID // detect mode: the site's non-source TFO, in topo order
+	// assign holds the current value of every input position. Outside a
+	// run only the last run's decisions (stack) and its seeded input
+	// (seeded, -1 if none) are definite, so clearAssign resets just those.
+	assign []sim.V3
+	seeded int
+	stack  []decision // the last run's decision stack
+
+	// The cone, by rank: a gate's index in the order the cone was
+	// discovered; rank[id] is -1 for every gate outside it. order[r] is
+	// the gate of rank r, typ[r] its type and op[r] its function as the
+	// counts read it. A logic gate's fanins, as ranks in port order, lie
+	// in fin between finOff[r] and finOff[r+1]; fo lists each cone gate's
+	// in-cone fanouts, once per fanin occurrence, between foOff[r] and
+	// foOff[r+1]. val holds the good (0) and faulty (1) planes; cnt, per
+	// plane, holds a gate's X fanins << 1 | the parity of its definite
+	// ones. trail lists rank<<1|plane of every gate made definite, in
+	// order; seeds lists the cone's fanin-less logic gates (constants).
+	rank    []int32
+	order   []netlist.GateID
+	typ     []netlist.GateType
+	op      []uint8
+	finOff  []int32
+	fin     []int32
+	foOff   []int32
+	fo      []int32
+	val     [2][]sim.V3
+	cnt     [2][]int32
+	trail   []int32
+	seeds   []int32
+	obsList []int32          // detect mode: the cone's observable gates
+	tfo     []int32          // detect mode: the site's non-source TFO, in whole-netlist topological order
 	dfsBuf  []netlist.GateID // DFS stack
-	posBits []uint64         // bitset over topo positions, for ordering the cone
-	stack   []decision       // the run's decision stack
+	posBits []uint64         // bitset over topo positions, for ordering the TFO
 
-	// Implication state, by rank: a gate's index in the order the cone
-	// was discovered (rank[id] is valid where relev). fo lists each cone
-	// gate's in-cone fanout, once per fanin occurrence, between foOff[r]
-	// and foOff[r+1]; op is a gate's function as the counts read it. val
-	// holds the good (0) and faulty (1) planes; cnt, per plane, holds a
-	// gate's X fanins << 1 | the parity of its definite ones. trail lists
-	// rank<<1|plane of every gate made definite, in order; seeds lists
-	// the cone's fanin-less logic gates (constants).
-	rank  []int32
-	op    []uint8
-	foOff []int32
-	fo    []int32
-	val   [2][]sim.V3
-	cnt   [2][]int32
-	trail []int32
-	seeds []netlist.GateID
-
-	// Detect-mode scratch: hasXPath's visit stamps (a gate is visited
-	// in the current search when visit[id] == visitEpoch) and stack,
-	// and dFrontier's result buffer.
+	// Detect-mode scratch: hasXPath's visit stamps by rank (a gate is
+	// visited in the current search when visit[r] == visitEpoch) and
+	// stack, and dFrontier's result buffer.
 	visit      []uint32
 	visitEpoch uint32
-	xStack     []netlist.GateID
-	frontier   []netlist.GateID
+	xStack     []int32
+	frontier   []int32
 
 	// Stats accumulates counters across calls.
 	Stats Stats
@@ -175,11 +189,15 @@ func NewEngine(n *netlist.Netlist) (*Engine, error) {
 	return a.NewEngine(), nil
 }
 
-// Analyze computes the read-only PODEM analysis of n, levelizing it if
-// needed. n must not be mutated while the analysis or any engine built
-// from it is in use.
+// Analyze computes the read-only PODEM analysis of n over its arena
+// form, levelizing that if needed. n must not be mutated while the
+// analysis or any engine built from it is in use.
 func Analyze(n *netlist.Netlist) (*Analysis, error) {
-	topo, err := n.TopoOrder()
+	c, err := n.Compact()
+	if err != nil {
+		return nil, err
+	}
+	topo, err := c.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
@@ -188,11 +206,10 @@ func Analyze(n *netlist.Netlist) (*Analysis, error) {
 		return nil, err
 	}
 	a := &Analysis{
-		n:        n,
-		inputs:   n.CombInputs(),
-		inputPos: make([]int32, len(n.Gates)),
+		c:        c,
+		inputs:   c.CombInputs(),
+		inputPos: make([]int32, c.NumGates()),
 		topo:     topo,
-		topoPos:  make([]int32, len(n.Gates)),
 		sc:       sc,
 	}
 	for i := range a.inputPos {
@@ -201,25 +218,28 @@ func Analyze(n *netlist.Netlist) (*Analysis, error) {
 	for i, id := range a.inputs {
 		a.inputPos[id] = int32(i)
 	}
-	for i, id := range topo {
-		a.topoPos[id] = int32(i)
-	}
 	return a, nil
 }
 
 // NewEngine returns a fresh engine over the analysis: only the
-// per-run scratch (assignment, cone marks) is allocated; the cone-sized
+// per-run scratch (assignment, cone ranks) is allocated; the cone-sized
 // scratch grows on first use and is reused across runs.
 func (a *Analysis) NewEngine() *Engine {
-	num := len(a.n.Gates)
-	return &Engine{
+	e := &Engine{
 		Analysis:      a,
 		MaxBacktracks: DefaultMaxBacktracks,
 		assign:        make([]sim.V3, len(a.inputs)),
-		relev:         make([]bool, num),
-		rank:          make([]int32, num),
+		seeded:        -1,
+		rank:          make([]int32, a.c.NumGates()),
 		met:           defaultMeters,
 	}
+	for i := range e.assign {
+		e.assign[i] = sim.V3X
+	}
+	for i := range e.rank {
+		e.rank[i] = -1
+	}
+	return e
 }
 
 // SetRegistry points the engine's PODEM counters at r, so a per-run
@@ -231,38 +251,39 @@ func (e *Engine) SetRegistry(r *obs.Registry) { e.met = metersFor(r) }
 // expressed over.
 func (a *Analysis) InputIDs() []netlist.GateID { return a.inputs }
 
-// observe computes the analysis' observation distances, counting the
-// build against the engine's registry. Run it through obsOnce.
+// observe computes what only Detect reads, counting the build against
+// the engine's registry. Run it through obsOnce.
 func (e *Engine) observe() {
 	e.computeObsDist()
+	e.topoPos = make([]int32, len(e.topo))
+	for i, id := range e.topo {
+		e.topoPos[id] = int32(i)
+	}
 	e.met.obsDist.Inc()
 }
 
 // computeObsDist fills obsDist with the minimum number of fanout hops
 // from each gate to an observable net (PO or DFF data input).
 func (a *Analysis) computeObsDist() {
-	n := a.n
-	a.obsDist = make([]int32, len(n.Gates))
+	c := a.c
+	a.obsDist = make([]int32, c.NumGates())
 	for i := range a.obsDist {
 		a.obsDist[i] = -1
 	}
 	var queue []netlist.GateID
-	push := func(id netlist.GateID, d int32) {
-		if a.obsDist[id] == -1 || d < a.obsDist[id] {
-			a.obsDist[id] = d
+	for _, id := range c.CombOutputs() {
+		if a.obsDist[id] != 0 {
+			a.obsDist[id] = 0
 			queue = append(queue, id)
 		}
 	}
-	for _, id := range n.CombOutputs() {
-		push(id, 0)
-	}
 	for head := 0; head < len(queue); head++ {
 		id := queue[head]
+		if c.Types[id] == netlist.DFF {
+			continue // crossing into previous cycle
+		}
 		d := a.obsDist[id] + 1
-		for _, f := range n.Gates[id].Fanin {
-			if n.Gates[id].Type == netlist.DFF {
-				continue // crossing into previous cycle
-			}
+		for _, f := range c.FaninOf(id) {
 			if a.obsDist[f] == -1 || d < a.obsDist[f] {
 				a.obsDist[f] = d
 				queue = append(queue, f)
@@ -299,21 +320,20 @@ func (e *Engine) Detect(site netlist.GateID, stuckAt uint8) (Cube, Result) {
 func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, Result) {
 	e.Stats.Calls++
 	e.met.calls.Inc()
-	for i := range e.assign {
-		e.assign[i] = sim.V3X
-	}
+	e.clearAssign()
 	wantV := sim.V3(want & 1)
 
 	// Trivial case: the target is itself an input.
 	if pos := e.inputPos[target]; pos >= 0 {
-		cube := NewCube(len(e.inputs))
-		cube.Set(int(pos), wantV)
 		if !propagate {
+			cube := NewCube(len(e.inputs))
+			cube.Set(int(pos), wantV)
 			return cube, Success
 		}
 		// Propagation from an input still needs the main loop; seed the
 		// assignment.
 		e.assign[pos] = wantV
+		e.seeded = int(pos)
 	}
 
 	if propagate {
@@ -325,14 +345,16 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 	// and the justification cones of everything on those paths. This
 	// makes each implication O(cone) instead of O(circuit).
 	e.prepareCone(target, propagate)
-	e.start(target, wantV, propagate)
+	site := e.rank[target]
+	e.start(site, wantV, propagate)
 
 	// The run counts its implications and backtracks here and adds them
-	// to Stats and the shared counters once, as it returns.
+	// to Stats and the shared counters once, as it returns. Its decision
+	// stack stays behind for the next run's clearAssign.
 	stack := e.stack[:0]
 	var implies, backtracks int64
 	defer func() {
-		e.stack = stack[:0]
+		e.stack = stack
 		e.Stats.Implies += implies
 		e.Stats.Backtracks += backtracks
 		e.met.implies.Add(implies)
@@ -346,18 +368,18 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 	for {
 		implies++
 
-		ok, failed := e.status(target, wantV, propagate)
+		ok, failed := e.status(site, wantV, propagate)
 		if ok {
-			return e.cubeFromAssign(), Success
+			return e.cube(stack), Success
 		}
 		if !failed {
-			if objNode, objVal, found := e.objective(target, wantV, propagate); found {
-				pos, val := e.backtrace(objNode, objVal)
+			if obj, objVal, found := e.objective(site, wantV, propagate); found {
+				pos, val := e.backtrace(obj, objVal)
 				// Undo is exact only because every decision assigns an X
 				// input; backtrace walks X nets only, so it reaches one.
 				if pos < 0 || e.assign[pos] != sim.V3X {
 					panic(fmt.Sprintf("atpg: backtrace from %s=%v reached no unassigned input (position %d)",
-						e.n.Gates[objNode].Name, objVal, pos))
+						e.c.Names[e.order[obj]], objVal, pos))
 				}
 				stack = append(stack, decision{pos: pos, mark: len(e.trail), val: val})
 				e.decide(pos, val, propagate)
@@ -391,25 +413,50 @@ func (e *Engine) run(target netlist.GateID, want uint8, propagate bool) (Cube, R
 	}
 }
 
+// clearAssign makes every input position X again. Only the last run's
+// decisions and its seeded input can be definite, so it resets just
+// those.
+func (e *Engine) clearAssign() {
+	for _, d := range e.stack {
+		e.assign[d.pos] = sim.V3X
+	}
+	e.stack = e.stack[:0]
+	if e.seeded >= 0 {
+		e.assign[e.seeded] = sim.V3X
+		e.seeded = -1
+	}
+}
+
+// cube snapshots the assignment as a cube: the decisions on stack plus
+// the seeded input, the only definite positions.
+func (e *Engine) cube(stack []decision) Cube {
+	c := NewCube(len(e.inputs))
+	for _, d := range stack {
+		c.Set(d.pos, d.val)
+	}
+	if e.seeded >= 0 {
+		c.Set(e.seeded, e.assign[e.seeded])
+	}
+	return c
+}
+
 // start brings a run's planes from all X to the implication of what is
 // fixed before the first decision: the cone's constants, detect mode's
 // stuck value at the site (faulty plane) and an input site's seeded
 // value. None of it is ever undone.
-func (e *Engine) start(target netlist.GateID, want sim.V3, propagate bool) {
+func (e *Engine) start(site int32, want sim.V3, propagate bool) {
 	e.trail = e.trail[:0]
-	site := e.rank[target]
 	if propagate {
 		e.define(1, site, want^1)
 	}
-	for _, id := range e.seeds {
-		r := e.rank[id]
-		v := sim.EvalGate3(e.n.Gates[id].Type, nil)
+	for _, r := range e.seeds {
+		v := sim.EvalGate3(e.typ[r], nil)
 		e.define(0, r, v)
 		if propagate && r != site {
 			e.define(1, r, v)
 		}
 	}
-	if propagate && e.inputPos[target] >= 0 {
+	if e.seeded >= 0 {
 		e.define(0, site, want)
 	}
 	e.forward(0)
@@ -510,85 +557,85 @@ func grow[T any](s []T, n int) []T {
 	return slices.Grow(s[:0], n)[:n]
 }
 
-// prepareCone computes the relevant gate set, its ranks and in-cone
-// fanout lists, the in-cone observable outputs and the D-frontier scan
-// order for one PODEM run, and sets every cone gate to X with all its
-// fanins counted X. It touches only the previous and the new cone,
-// never the whole netlist.
+// prepareCone gathers one run's cone over the arena: its ranks, types,
+// fanin and in-cone fanout lists, the in-cone observable outputs and the
+// D-frontier scan order, and sets every cone gate to X with all its
+// fanins counted X. The closure is the only pass over netlist memory: it
+// records each gate's fanin ranks as it admits them, and the fanout
+// lists are then filled from those cone-local records. It touches only
+// the previous and the new cone, never the whole netlist.
 func (e *Engine) prepareCone(target netlist.GateID, propagate bool) {
-	n := e.n
+	c := e.c
 	for _, id := range e.order {
-		e.relev[id] = false
+		e.rank[id] = -1
 	}
 	e.order = e.order[:0]
-	e.foOff = e.foOff[:0]
-	stack := e.dfsBuf[:0]
-	e.tfo = e.tfo[:0]
+	e.typ, e.op = e.typ[:0], e.op[:0]
+	e.finOff, e.fin, e.foOff = e.finOff[:0], e.fin[:0], e.foOff[:0]
+	e.seeds, e.obsList, e.tfo = e.seeds[:0], e.obsList[:0], e.tfo[:0]
 	if propagate {
 		// Seed with the fault's transitive fanout (netlist.
 		// TransitiveFanout: the site itself, and DFFs it reaches noted
-		// but not crossed); the reverse closure below adds every
-		// justification cone feeding those paths.
-		stack = append(stack, target)
+		// but not crossed); the closure below adds every justification
+		// cone feeding those paths.
+		stack := append(e.dfsBuf[:0], target)
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if e.relev[id] {
+			if e.rank[id] >= 0 {
 				continue
 			}
 			e.admit(id)
-			for _, s := range n.Gates[id].Fanout {
-				if n.Gates[s].Type != netlist.DFF {
+			for _, s := range c.FanoutOf(id) {
+				if c.Types[s] != netlist.DFF {
 					stack = append(stack, s)
-				} else if !e.relev[s] {
+				} else if e.rank[s] < 0 {
 					e.admit(s)
 				}
 			}
 		}
+		e.dfsBuf = stack[:0]
 		// Only TFO gates can carry a D on an input, so the D-frontier
 		// scan walks this subset, in the whole-netlist topological order:
 		// it breaks ties in that order.
-		e.tfo = e.topoSorted(e.order, e.tfo)
-		kept := e.tfo[:0]
-		for _, id := range e.tfo {
-			if t := n.Gates[id].Type; t != netlist.DFF && !t.IsSource() {
-				kept = append(kept, id)
-			}
-		}
-		e.tfo = kept
-		stack = append(stack, e.order...)
+		e.tfo = e.tfoOrder(e.order, e.tfo)
 	} else {
 		e.admit(target)
-		stack = append(stack, target)
 	}
-	// Reverse closure under fanin (TFI), stopping at combinational
+	// Closure under fanin (TFI), in rank order, stopping at combinational
 	// sources (DFF outputs are sources in the full-scan view). Every
-	// logic gate of the cone is popped once and has all its fanins in
+	// logic gate of the cone is visited once and has all its fanins in
 	// the cone, so the loop counts each in-cone fanout edge once.
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		g := &n.Gates[id]
-		if g.Type == netlist.DFF || g.Type.IsSource() {
+	for r := 0; r < len(e.order); r++ {
+		id := e.order[r]
+		t := c.Types[id]
+		e.typ = append(e.typ, t)
+		e.op = append(e.op, gateOps[t])
+		e.finOff = append(e.finOff, int32(len(e.fin)))
+		if propagate && e.obsDist[id] == 0 {
+			e.obsList = append(e.obsList, int32(r))
+		}
+		if t == netlist.Input || t == netlist.DFF {
 			continue
 		}
-		for _, f := range g.Fanin {
-			if !e.relev[f] {
-				e.admit(f)
-				stack = append(stack, f)
+		fanin := c.FaninOf(id)
+		if len(fanin) == 0 {
+			e.seeds = append(e.seeds, int32(r))
+		}
+		for _, f := range fanin {
+			rf := e.rank[f]
+			if rf < 0 {
+				rf = e.admit(f)
 			}
-			e.foOff[e.rank[f]]++
+			e.fin = append(e.fin, rf)
+			e.foOff[rf]++
 		}
 	}
-	e.dfsBuf = stack[:0]
-	// From here on walk the cone in topological order: on a netlist much
-	// larger than the cache, that keeps the gate reads close to
-	// sequential. Ranks stay in discovery order.
-	e.order = e.topoSorted(e.order, e.order[:0])
+	nr := len(e.order)
+	e.finOff = append(e.finOff, int32(len(e.fin)))
 
 	// Turn the fanout counts into block ends, then fill each block from
 	// its end, leaving foOff[r] at its start.
-	nr := len(e.order)
 	e.foOff = append(e.foOff, 0)
 	end := int32(0)
 	for r := range nr {
@@ -597,55 +644,40 @@ func (e *Engine) prepareCone(target netlist.GateID, propagate bool) {
 	}
 	e.foOff[nr] = end
 	e.fo = grow(e.fo, int(end))
+	for r := range nr {
+		for _, rf := range e.fin[e.finOff[r]:e.finOff[r+1]] {
+			e.foOff[rf]--
+			e.fo[e.foOff[rf]] = int32(r)
+		}
+	}
 	planes := 1
 	if propagate {
 		planes = 2
 	}
-	e.op = grow(e.op, nr)
 	for p := 0; p < planes; p++ {
-		e.val[p] = grow(e.val[p], nr)
-		e.cnt[p] = grow(e.cnt[p], nr)
-	}
-	e.obsList = e.obsList[:0]
-	e.seeds = e.seeds[:0]
-	for _, id := range e.order {
-		r := e.rank[id]
-		if propagate && e.obsDist[id] == 0 {
-			e.obsList = append(e.obsList, id)
+		val, cnt := grow(e.val[p], nr), grow(e.cnt[p], nr)
+		for r := range nr {
+			val[r] = sim.V3X
+			cnt[r] = (e.finOff[r+1] - e.finOff[r]) << 1
 		}
-		k := 0
-		if e.inputPos[id] < 0 {
-			g := &n.Gates[id]
-			k = len(g.Fanin)
-			e.op[r] = gateOps[g.Type]
-			if k == 0 {
-				e.seeds = append(e.seeds, id)
-			}
-			for _, f := range g.Fanin {
-				rf := e.rank[f]
-				e.foOff[rf]--
-				e.fo[e.foOff[rf]] = r
-			}
-		}
-		for p := 0; p < planes; p++ {
-			e.val[p][r] = sim.V3X
-			e.cnt[p][r] = int32(k) << 1
-		}
+		e.val[p], e.cnt[p] = val, cnt
 	}
 }
 
-// admit adds id to the cone at the next rank, with no fanouts counted.
-func (e *Engine) admit(id netlist.GateID) {
-	e.relev[id] = true
-	e.rank[id] = int32(len(e.order))
+// admit adds id to the cone at the next rank, with no fanouts counted,
+// and returns that rank.
+func (e *Engine) admit(id netlist.GateID) int32 {
+	r := int32(len(e.order))
+	e.rank[id] = r
 	e.order = append(e.order, id)
 	e.foOff = append(e.foOff, 0)
+	return r
 }
 
-// topoSorted appends ids (distinct gates) to out in topological order:
-// a bitset over topo positions, swept only between the lowest and the
-// highest word set and left clear again.
-func (e *Engine) topoSorted(ids, out []netlist.GateID) []netlist.GateID {
+// tfoOrder appends the ranks of ids' logic gates (distinct cone gates)
+// to out in topological order: a bitset over topo positions, swept only
+// between the lowest and the highest word set and left clear again.
+func (e *Engine) tfoOrder(ids []netlist.GateID, out []int32) []int32 {
 	if e.posBits == nil {
 		e.posBits = make([]uint64, (len(e.topo)+63)/64)
 	}
@@ -658,21 +690,25 @@ func (e *Engine) topoSorted(ids, out []netlist.GateID) []netlist.GateID {
 	}
 	for w := lo; w <= hi; w++ {
 		for word := e.posBits[w]; word != 0; word &= word - 1 {
-			out = append(out, e.topo[w<<6|bits.TrailingZeros64(word)])
+			id := e.topo[w<<6|bits.TrailingZeros64(word)]
+			if t := e.c.Types[id]; t != netlist.DFF && !t.IsSource() {
+				out = append(out, e.rank[id])
+			}
 		}
 		e.posBits[w] = 0
 	}
 	return out
 }
 
-// good and faulty read a cone gate's value in each plane.
-func (e *Engine) good(id netlist.GateID) sim.V3   { return e.val[0][e.rank[id]] }
-func (e *Engine) faulty(id netlist.GateID) sim.V3 { return e.val[1][e.rank[id]] }
+// fanin returns the fanin ranks of the cone's logic gate of rank r, in
+// port order.
+func (e *Engine) fanin(r int32) []int32 { return e.fin[e.finOff[r]:e.finOff[r+1]] }
 
-// status reports whether the objective is met (ok) or provably violated
-// on this branch (failed).
-func (e *Engine) status(target netlist.GateID, want sim.V3, propagate bool) (ok, failed bool) {
-	gv := e.good(target)
+// status reports whether the objective at the site of rank site is met
+// (ok) or provably violated on this branch (failed).
+func (e *Engine) status(site int32, want sim.V3, propagate bool) (ok, failed bool) {
+	good, faulty := e.val[0], e.val[1]
+	gv := good[site]
 	if !propagate {
 		if gv == want {
 			return true, false
@@ -689,35 +725,36 @@ func (e *Engine) status(target netlist.GateID, want sim.V3, propagate bool) (ok,
 	}
 	if gv == want {
 		// Excited; detected if any observable net differs definitely.
-		for _, id := range e.obsList {
-			g, f := e.good(id), e.faulty(id)
+		for _, r := range e.obsList {
+			g, f := good[r], faulty[r]
 			if g != sim.V3X && f != sim.V3X && g != f {
 				return true, false
 			}
 		}
 		// Not yet detected: fail this branch if no D-frontier gate has an
 		// X-path to an observable output.
-		if !e.hasXPath(target) {
+		if !e.hasXPath(site) {
 			return false, true
 		}
 	}
 	return false, false
 }
 
-// dFrontier returns gates whose output is still undetermined in at least
-// one plane but which have a propagating D (definite, differing planes)
-// on some input. The result lives in engine scratch and is valid until
-// the next call.
-func (e *Engine) dFrontier() []netlist.GateID {
+// dFrontier returns the ranks of gates whose output is still
+// undetermined in at least one plane but which have a propagating D
+// (definite, differing planes) on some input. The result lives in
+// engine scratch and is valid until the next call.
+func (e *Engine) dFrontier() []int32 {
+	good, faulty := e.val[0], e.val[1]
 	out := e.frontier[:0]
-	for _, id := range e.tfo {
-		if e.good(id) != sim.V3X && e.faulty(id) != sim.V3X {
+	for _, r := range e.tfo {
+		if good[r] != sim.V3X && faulty[r] != sim.V3X {
 			continue
 		}
-		for _, f := range e.n.Gates[id].Fanin {
-			gv, fv := e.good(f), e.faulty(f)
+		for _, f := range e.fanin(r) {
+			gv, fv := good[f], faulty[f]
 			if gv != sim.V3X && fv != sim.V3X && gv != fv {
-				out = append(out, id)
+				out = append(out, r)
 				break
 			}
 		}
@@ -728,16 +765,17 @@ func (e *Engine) dFrontier() []netlist.GateID {
 
 // hasXPath reports whether some D-frontier gate (or the not-yet-excited
 // site itself) can still reach an observable output through gates with
-// an undetermined value.
-func (e *Engine) hasXPath(site netlist.GateID) bool {
+// an undetermined value. Every gate it visits is in the site's TFO, so
+// every non-DFF fanout of one is in its in-cone fanout list.
+func (e *Engine) hasXPath(site int32) bool {
 	frontier := e.dFrontier()
 	if len(frontier) == 0 {
 		// The site itself may still carry the D forward if undetermined
 		// around it.
 		frontier = append(frontier, site)
 	}
-	if e.visit == nil {
-		e.visit = make([]uint32, len(e.n.Gates))
+	if len(e.visit) < len(e.order) {
+		e.visit = append(e.visit, make([]uint32, len(e.order)-len(e.visit))...)
 	}
 	e.visitEpoch++
 	if e.visitEpoch == 0 { // wrapped: stale stamps could alias
@@ -745,27 +783,24 @@ func (e *Engine) hasXPath(site netlist.GateID) bool {
 		e.visitEpoch = 1
 	}
 	epoch := e.visitEpoch
+	good, faulty := e.val[0], e.val[1]
 	stack := append(e.xStack[:0], frontier...)
 	defer func() { e.xStack = stack[:0] }()
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if e.visit[id] == epoch {
+		if e.visit[r] == epoch {
 			continue
 		}
-		e.visit[id] = epoch
+		e.visit[r] = epoch
 		// Observable: a comb output inside the cone (obsList's members).
-		if e.obsDist[id] == 0 && e.relev[id] && (e.good(id) == sim.V3X || e.faulty(id) == sim.V3X ||
-			e.good(id) != e.faulty(id)) {
+		if e.obsDist[e.order[r]] == 0 && (good[r] == sim.V3X || faulty[r] == sim.V3X || good[r] != faulty[r]) {
 			return true
 		}
-		for _, s := range e.n.Gates[id].Fanout {
-			if e.n.Gates[s].Type == netlist.DFF {
-				// id feeds a scan capture point; id itself is in the
-				// observable set, already handled above.
-				continue
-			}
-			if e.good(s) == sim.V3X || e.faulty(s) == sim.V3X {
+		// DFFs record no fanins, so they are in no fanout list: an edge
+		// into a scan capture point is covered by the check above.
+		for _, s := range e.fo[e.foOff[r]:e.foOff[r+1]] {
+			if good[s] == sim.V3X || faulty[s] == sim.V3X {
 				stack = append(stack, s)
 			}
 		}
@@ -773,42 +808,41 @@ func (e *Engine) hasXPath(site netlist.GateID) bool {
 	return false
 }
 
-// objective picks the next (node, value) goal.
-func (e *Engine) objective(target netlist.GateID, want sim.V3, propagate bool) (netlist.GateID, sim.V3, bool) {
-	if e.good(target) == sim.V3X {
-		return target, want, true
+// objective picks the next (gate rank, value) goal.
+func (e *Engine) objective(site int32, want sim.V3, propagate bool) (int32, sim.V3, bool) {
+	good := e.val[0]
+	if good[site] == sim.V3X {
+		return site, want, true
 	}
 	if !propagate {
-		return netlist.InvalidGate, sim.V3X, false
+		return -1, sim.V3X, false
 	}
 	// Excited: advance the D-frontier gate closest to an observation
 	// point that still has an assignable (X in the good plane) input,
 	// setting that input toward the non-controlling value.
-	frontier := e.dFrontier()
 	var (
-		bestInput netlist.GateID = netlist.InvalidGate
+		bestInput int32 = -1
 		bestVal   sim.V3
 		bestDist  = int32(1 << 30)
 	)
-	for _, id := range frontier {
-		d := e.obsDist[id]
+	for _, r := range e.dFrontier() {
+		d := e.obsDist[e.order[r]]
 		if d < 0 || d >= bestDist {
 			continue
 		}
-		g := &e.n.Gates[id]
-		cv, hasCtl := g.Type.ControllingValue()
+		cv, hasCtl := e.typ[r].ControllingValue()
 		objVal := sim.V3Zero // XOR-family: any definite value propagates
 		if hasCtl {
 			objVal = sim.V3(cv) ^ 1 // non-controlling value
 		}
-		for _, f := range g.Fanin {
-			if e.good(f) == sim.V3X {
+		for _, f := range e.fanin(r) {
+			if good[f] == sim.V3X {
 				bestInput, bestVal, bestDist = f, objVal, d
 				break
 			}
 		}
 	}
-	if bestInput != netlist.InvalidGate {
+	if bestInput >= 0 {
 		return bestInput, bestVal, true
 	}
 	// Every frontier gate is definite in the good plane but still open
@@ -817,44 +851,45 @@ func (e *Engine) objective(target netlist.GateID, want sim.V3, propagate bool) (
 	// fault's cone so implication can resolve the faulty plane; the
 	// decision tree over these inputs keeps the search complete.
 	for pos, id := range e.inputs {
-		if e.assign[pos] == sim.V3X && e.relev[id] {
-			return id, sim.V3Zero, true
+		if r := e.rank[id]; r >= 0 && e.assign[pos] == sim.V3X {
+			return r, sim.V3Zero, true
 		}
 	}
-	return netlist.InvalidGate, sim.V3X, false
+	return -1, sim.V3X, false
 }
 
-// backtrace walks an objective back to an unassigned input, returning
-// its position and the value to try first. It follows X-valued nets
-// only, and an X gate always has an X fanin, so the walk ends on an
-// unassigned input; -1 would mean it did not (a constant, or a gate
-// with no X fanin), which run treats as a broken invariant. SCOAP
-// controllabilities steer the choice unless NaiveBacktrace.
-func (e *Engine) backtrace(node netlist.GateID, v sim.V3) (int, sim.V3) {
-	n := e.n
-	for node != netlist.InvalidGate {
-		if pos := e.inputPos[node]; pos >= 0 {
+// backtrace walks an objective (a cone gate's rank) back to an
+// unassigned input, returning its position and the value to try first.
+// It follows X-valued nets only, and an X gate always has an X fanin, so
+// the walk ends on an unassigned input; -1 would mean it did not (a
+// constant, or a gate with no X fanin), which run treats as a broken
+// invariant. SCOAP controllabilities steer the choice unless
+// NaiveBacktrace.
+func (e *Engine) backtrace(r int32, v sim.V3) (int, sim.V3) {
+	good := e.val[0]
+	for r >= 0 {
+		if pos := e.inputPos[e.order[r]]; pos >= 0 {
 			return int(pos), v
 		}
-		g := &n.Gates[node]
-		switch g.Type {
+		fanin := e.fanin(r)
+		switch t := e.typ[r]; t {
 		case netlist.Buf:
-			node = g.Fanin[0]
+			r = fanin[0]
 		case netlist.Not:
-			node = g.Fanin[0]
+			r = fanin[0]
 			v ^= 1
 		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
 			core := v
-			if g.Type.HasInversion() {
+			if t.HasInversion() {
 				core ^= 1
 			}
-			cv, _ := g.Type.ControllingValue()
+			cv, _ := t.ControllingValue()
 			// core == ¬cv means every input must be at the
 			// non-controlling value: pick the hardest X input (fail
 			// fast). Otherwise one controlling input suffices: pick the
 			// easiest.
 			allMust := core == sim.V3(cv)^1
-			node = e.pickInput(g, sim.V3(cv)^boolToV3(allMust), allMust)
+			r = e.pickInput(fanin, sim.V3(cv)^boolToV3(allMust), allMust)
 			if allMust {
 				v = sim.V3(cv) ^ 1
 			} else {
@@ -864,19 +899,20 @@ func (e *Engine) backtrace(node netlist.GateID, v sim.V3) (int, sim.V3) {
 			// Choose the cheapest X input; aim for the parity residue the
 			// definite inputs leave over.
 			parity := sim.V3Zero
-			if g.Type == netlist.Xnor {
+			if t == netlist.Xnor {
 				parity = sim.V3One
 			}
 			xCount := 0
-			var pick netlist.GateID = netlist.InvalidGate
+			pick := int32(-1)
 			var bestCost int64 = 1 << 62
-			for _, f := range g.Fanin {
-				fv := e.good(f)
+			for _, f := range fanin {
+				fv := good[f]
 				if fv == sim.V3X {
 					xCount++
-					cost := minI64(e.sc.CC0[f], e.sc.CC1[f])
+					id := e.order[f]
+					cost := minI64(e.sc.CC0[id], e.sc.CC1[id])
 					if e.NaiveBacktrace {
-						if pick == netlist.InvalidGate {
+						if pick < 0 {
 							pick = f
 						}
 					} else if cost < bestCost {
@@ -889,55 +925,44 @@ func (e *Engine) backtrace(node netlist.GateID, v sim.V3) (int, sim.V3) {
 			need := parity ^ v // residue this input must supply if alone
 			if xCount > 1 {
 				// Underdetermined: try the cheaper value first.
-				if !e.NaiveBacktrace && e.sc.CC1[pick] < e.sc.CC0[pick] {
+				if id := e.order[pick]; !e.NaiveBacktrace && e.sc.CC1[id] < e.sc.CC0[id] {
 					need = sim.V3One
 				} else {
 					need = sim.V3Zero
 				}
 			}
-			node, v = pick, need
+			r, v = pick, need
 		default:
-			node = netlist.InvalidGate // constants are never X
+			r = -1 // constants are never X
 		}
 	}
 	return -1, v
 }
 
-// pickInput selects an X-valued fanin of g (InvalidGate if none); want
-// is the value it will be asked for; hardest selects max-cost (all-must
-// case) vs min-cost.
-func (e *Engine) pickInput(g *netlist.Gate, want sim.V3, hardest bool) netlist.GateID {
-	var pick netlist.GateID = netlist.InvalidGate
+// pickInput selects an X-valued fanin rank among fanin (-1 if none);
+// want is the value it will be asked for; hardest selects max-cost
+// (all-must case) vs min-cost.
+func (e *Engine) pickInput(fanin []int32, want sim.V3, hardest bool) int32 {
+	pick := int32(-1)
 	var bestCost int64
 	if hardest {
 		bestCost = -1
 	} else {
 		bestCost = 1 << 62
 	}
-	for _, f := range g.Fanin {
-		if e.good(f) != sim.V3X {
+	for _, f := range fanin {
+		if e.val[0][f] != sim.V3X {
 			continue
 		}
 		if e.NaiveBacktrace {
 			return f
 		}
-		cost := e.sc.CC(f, uint8(want))
+		cost := e.sc.CC(e.order[f], uint8(want))
 		if hardest && cost > bestCost || !hardest && cost < bestCost {
 			bestCost, pick = cost, f
 		}
 	}
 	return pick
-}
-
-// cubeFromAssign snapshots the current PI assignment as a cube.
-func (e *Engine) cubeFromAssign() Cube {
-	c := NewCube(len(e.inputs))
-	for i, v := range e.assign {
-		if v != sim.V3X {
-			c.Set(i, v)
-		}
-	}
-	return c
 }
 
 func boolToV3(b bool) sim.V3 {

@@ -7,12 +7,14 @@
 package compat
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -83,7 +85,7 @@ type BuildConfig struct {
 	// test is pure.
 	Workers int
 	// Partitions groups the vertices by the fanout-cone partition
-	// (part.Build) that owns their rare node, and stores the adjacency
+	// (part.Owners) that owns their rare node, and stores the adjacency
 	// as dense per-partition blocks plus a sparse cross-partition
 	// conflict list instead of one dense V×V bitset. 0 or 1 keeps the
 	// dense adjacency. Cube generation runs on the whole netlist either
@@ -168,19 +170,14 @@ func BuildCubes(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg Build
 	// MaxNodes bounds the number of *vertices* (successful cubes), not
 	// candidates: nodes PODEM proves unexcitable or aborts on are
 	// skipped and the walk continues down the rarity order.
-	sort.Slice(candidates, func(a, b int) bool { return candidates[a].Prob < candidates[b].Prob })
+	// slices.SortFunc runs the same pdqsort as sort.Slice did, so ties
+	// keep the order every recorded graph was built with.
+	slices.SortFunc(candidates, func(a, b rare.Node) int { return cmp.Compare(a.Prob, b.Prob) })
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	var plan *part.Plan
-	if cfg.Partitions > 1 {
-		var err error
-		if plan, err = part.Build(n, cfg.Partitions); err != nil {
-			return nil, err
-		}
-	}
 	// One analysis of the netlist serves every engine of the run.
 	an, err := atpg.Analyze(n)
 	if err != nil {
@@ -234,9 +231,14 @@ func BuildCubes(ctx context.Context, n *netlist.Netlist, rs *rare.Set, cfg Build
 		g.Nodes = append(g.Nodes, candidates[i])
 		g.Cubes = append(g.Cubes, r.cube)
 	}
-	if plan != nil {
-		for _, node := range g.Nodes {
-			g.vertPart = append(g.vertPart, plan.Owner[node.ID])
+	if cfg.Partitions > 1 {
+		ids := make([]netlist.GateID, len(g.Nodes))
+		for i, node := range g.Nodes {
+			ids[i] = node.ID
+		}
+		var err error
+		if g.vertPart, err = part.Owners(n, cfg.Partitions, ids); err != nil {
+			return nil, err
 		}
 	}
 	g.CubeTime = time.Since(t0)

@@ -84,7 +84,7 @@ func TestCubesProveThemselves(t *testing.T) {
 				in[id] = v
 			}
 		}
-		vals, err := sim.Eval3(n, in)
+		vals, err := sim.Eval3(n, in, []netlist.GateID{node.ID})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestCliquesValidationFree(t *testing.T) {
 				in[id] = v
 			}
 		}
-		vals, err := sim.Eval3(n, in)
+		vals, err := sim.Eval3(n, in, nodeIDs(c.Nodes(g)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +438,7 @@ func TestOnGeneratedCircuit(t *testing.T) {
 				in[id] = v
 			}
 		}
-		vals, err := sim.Eval3(n, in)
+		vals, err := sim.Eval3(n, in, nodeIDs(c.Nodes(g)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,4 +472,13 @@ func TestRandomSetBitUniformIsh(t *testing.T) {
 	if _, ok := randomSetBit([]uint64{0, 0}, rng); ok {
 		t.Fatal("randomSetBit found a bit in an empty set")
 	}
+}
+
+// nodeIDs lists the gates of nodes, the roots whose cone Eval3 reads.
+func nodeIDs(nodes []rare.Node) []netlist.GateID {
+	ids := make([]netlist.GateID, len(nodes))
+	for i, nd := range nodes {
+		ids[i] = nd.ID
+	}
+	return ids
 }

@@ -48,6 +48,7 @@ type Compact struct {
 
 	index     *NameIndex // frozen index over Names; nil until SetNames
 	topo      []GateID
+	ends      []int32 // by GateID: len(topo) once the gate's fanouts were scanned (see Netlist.Levelize)
 	levelized bool
 
 	scoapOnce sync.Once
@@ -160,7 +161,7 @@ func buildCompact(n *Netlist) *Compact {
 		c.FanoutIdx = append(c.FanoutIdx, n.Gates[i].Fanout...)
 	}
 	if n.topo != nil {
-		c.topo = append([]GateID(nil), n.topo...)
+		c.topo, c.ends = n.topo, n.ends
 		c.levelized = true
 	}
 	return c
@@ -212,9 +213,9 @@ func (c *Compact) CombOutputs() []GateID {
 }
 
 // Levelize assigns logic levels and caches a topological order with the
-// same semantics (and the same resulting order) as Netlist.Levelize:
-// Kahn's algorithm with a FIFO queue seeded in ascending gate order,
-// DFFs and sources at level 0.
+// same semantics (and the same resulting order and push ends) as
+// Netlist.Levelize: Kahn's algorithm with a FIFO queue seeded in
+// ascending gate order, DFFs and sources at level 0.
 func (c *Compact) Levelize() error {
 	if c.levelized && c.topo != nil {
 		return nil
@@ -263,12 +264,13 @@ func (c *Compact) Levelize() error {
 				topo = append(topo, s)
 			}
 		}
+		indeg[id] = int32(len(topo)) // spent in-degree: now the push end
 	}
 	if len(topo) != num {
 		return fmt.Errorf("netlist %q: combinational cycle detected (%d of %d gates ordered)",
 			c.Name, len(topo), num)
 	}
-	c.topo = topo
+	c.topo, c.ends = topo, indeg
 	c.levelized = true
 	return nil
 }
@@ -317,7 +319,7 @@ func (c *Compact) EstimatedBytes() int64 {
 	}
 	num := int64(c.NumGates())
 	edges := int64(len(c.FaninIdx) + len(c.FanoutIdx))
-	ids := int64(len(c.PIs) + len(c.POs) + len(c.DFFs) + len(c.topo))
+	ids := int64(len(c.PIs) + len(c.POs) + len(c.DFFs) + len(c.topo) + len(c.ends))
 	return names +
 		num + // Types
 		2*4*(num+1) + // FaninStart + FanoutStart
@@ -412,7 +414,7 @@ func (c *Compact) ToNetlist() (*Netlist, error) {
 		}
 	}
 	if c.levelized && c.topo != nil {
-		n.topo = append([]GateID(nil), c.topo...)
+		n.topo, n.ends = c.topo, c.ends
 		n.arena.Store(&arenaMemo{c: c})
 	}
 	return n, nil

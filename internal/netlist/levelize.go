@@ -7,6 +7,13 @@ import "fmt"
 // level 0; every other gate gets 1 + max(level of fanins). It returns an
 // error if the combinational view contains a cycle.
 //
+// The order is Kahn's FIFO order: the roots (DFFs, sources and fanin-less
+// gates) in ID order, then each gate as its last fanin is popped, in
+// that fanin's fanout-list order. That is the breadth-first order of a
+// forest in which each gate hangs under its last-popped fanin. Beside
+// the order, Levelize records where each gate's pushes end (see ends),
+// so an edited copy can be ordered from it (Orderer).
+//
 // Levelization is the first step of the paper's insertion flow
 // (Section IV-C lists "levelizing the netlist" as step one) and everything
 // downstream — simulation, SCOAP, PODEM — consumes the cached order.
@@ -29,7 +36,8 @@ func (n *Netlist) Levelize() error {
 	// removed, a head index advances instead. The old
 	// `queue = queue[1:]` form kept the whole backing array reachable
 	// while repeatedly shrinking the window — one allocation-free array
-	// serves both roles (see TestLevelizeAllocs).
+	// serves both roles (see TestLevelizeAllocs). A popped gate's
+	// in-degree is spent, so its slot then holds its push end.
 	topo := make([]GateID, 0, num)
 	for i := range n.Gates {
 		if indeg[i] == 0 {
@@ -60,12 +68,13 @@ func (n *Netlist) Levelize() error {
 				topo = append(topo, s)
 			}
 		}
+		indeg[id] = int32(len(topo))
 	}
 	if len(topo) != num {
 		return fmt.Errorf("netlist %q: combinational cycle detected (%d of %d gates ordered)",
 			n.Name, len(topo), num)
 	}
-	n.topo = topo
+	n.topo, n.ends = topo, indeg
 	return nil
 }
 

@@ -202,6 +202,7 @@ type Netlist struct {
 	names  *NameIndex
 	byName map[string]GateID
 	topo   []GateID                  // cached topological order (combinational view); nil until Levelize
+	ends   []int32                   // by GateID: len(topo) once the gate's fanouts were scanned; set with topo
 	arena  atomic.Pointer[arenaMemo] // the arena form once derived (see Compact); shared by clones
 }
 
@@ -359,7 +360,7 @@ func (n *Netlist) ReplacePOMarker(old, new GateID) error {
 }
 
 func (n *Netlist) invalidate() {
-	n.topo = nil
+	n.topo, n.ends = nil, nil
 	n.DropCompact()
 }
 
@@ -369,9 +370,9 @@ func (n *Netlist) Clone() *Netlist { return n.CloneGrow(0) }
 // CloneGrow returns a deep copy of the netlist with room reserved for
 // extra more gates (and their names), so adding them reallocates
 // neither the gate array nor the name index. Every gate's fanin and
-// fanout lists are copied into one slab (idSlab). The frozen name index
-// and the arena form are shared, not copied — only the source's own
-// name additions are — so cloning a parsed netlist allocates a fixed
+// fanout lists are copied into one slab (idSlab). The frozen name index,
+// the cached order and the arena form are shared, not copied — only the
+// source's own name additions are — so cloning a parsed netlist allocates a fixed
 // number of objects however many gates it has. CloneGrow only reads n:
 // concurrent clones of one netlist are safe.
 func (n *Netlist) CloneGrow(extra int) *Netlist {
@@ -398,9 +399,7 @@ func (n *Netlist) CloneGrow(extra int) *Netlist {
 	for k, v := range n.byName {
 		c.byName[k] = v
 	}
-	if n.topo != nil {
-		c.topo = append([]GateID(nil), n.topo...)
-	}
+	c.topo, c.ends = n.topo, n.ends
 	c.arena.Store(n.arena.Load())
 	return c
 }
@@ -460,7 +459,7 @@ func (n *Netlist) EstimatedBytes() int64 {
 	// byName entry: ~48 B covers the key header, GateID value and bucket
 	// overhead.
 	total += 48 * int64(len(n.byName))
-	total += 4 * int64(len(n.PIs)+len(n.POs)+len(n.DFFs)+len(n.topo))
+	total += 4 * int64(len(n.PIs)+len(n.POs)+len(n.DFFs)+len(n.topo)+len(n.ends))
 	return total
 }
 

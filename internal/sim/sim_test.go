@@ -374,7 +374,7 @@ func TestEval3AgreesWithEval(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Eval3(n, in3)
+		got, err := Eval3(n, in3, allGates(n))
 		if err != nil {
 			return false
 		}
@@ -405,7 +405,7 @@ func TestEval3Monotone(t *testing.T) {
 				partial[id] = V3(v)
 			}
 		}
-		pv, err := Eval3(n, partial)
+		pv, err := Eval3(n, partial, allGates(n))
 		if err != nil {
 			return false
 		}
@@ -422,6 +422,80 @@ func TestEval3Monotone(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func allGates(n *netlist.Netlist) []netlist.GateID {
+	ids := make([]netlist.GateID, len(n.Gates))
+	for i := range ids {
+		ids[i] = netlist.GateID(i)
+	}
+	return ids
+}
+
+// eval3Whole is the whole-netlist three-valued simulation Eval3's cone
+// walk replaced: every gate, in topological order.
+func eval3Whole(n *netlist.Netlist, inputs map[netlist.GateID]V3) []V3 {
+	topo, err := n.TopoOrder()
+	if err != nil {
+		panic(err)
+	}
+	vals := make([]V3, len(n.Gates))
+	for _, id := range topo {
+		g := &n.Gates[id]
+		switch g.Type {
+		case netlist.Input, netlist.DFF:
+			vals[id] = V3X
+			if v, ok := inputs[id]; ok {
+				vals[id] = v
+			}
+		default:
+			in := make([]V3, len(g.Fanin))
+			for i, f := range g.Fanin {
+				in[i] = vals[f]
+			}
+			vals[id] = EvalGate3(g.Type, in)
+		}
+	}
+	return vals
+}
+
+// TestEval3ConeMatchesWhole: for random roots and partial assignments,
+// every gate of the roots' fanin cone (DFFs and inputs end it) gets the
+// whole-netlist value, and every other gate reads X.
+func TestEval3ConeMatchesWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := randomNetlist(rng, 3+rng.Intn(5), 10+rng.Intn(60))
+		in := map[netlist.GateID]V3{}
+		for _, id := range n.CombInputs() {
+			if rng.Intn(3) > 0 {
+				in[id] = V3(rng.Intn(2))
+			}
+		}
+		var roots []netlist.GateID
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			roots = append(roots, netlist.GateID(rng.Intn(len(n.Gates))))
+		}
+		got, err := Eval3(n, in, roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := eval3Whole(n, in)
+		cone := make([]bool, len(n.Gates))
+		for _, r := range roots {
+			for id, in := range n.TransitiveFanin(r) {
+				cone[id] = cone[id] || in
+			}
+		}
+		for id := range n.Gates {
+			if cone[id] && got[id] != want[id] {
+				t.Fatalf("trial %d: cone gate %s = %v, whole netlist %v", trial, n.Gates[id].Name, got[id], want[id])
+			}
+			if !cone[id] && got[id] != V3X {
+				t.Fatalf("trial %d: gate %s outside the cone = %v, want X", trial, n.Gates[id].Name, got[id])
+			}
+		}
 	}
 }
 

@@ -100,32 +100,39 @@ func EvalGate3(t netlist.GateType, in []V3) V3 {
 	panic(fmt.Sprintf("sim: EvalGate3 on %v", t))
 }
 
-// Eval3 runs a three-valued simulation from a partial input assignment:
-// inputs not present in the map are X. The returned slice holds every
-// gate's three-valued value.
+// Eval3 runs a three-valued simulation of the fanin cone of roots from
+// a partial input assignment: inputs not present in the map are X. The
+// returned slice is indexed by GateID and holds the three-valued value
+// of every gate in the cone (roots included) and X for every other gate,
+// so a caller reads only the gates whose values it asked for. The cone
+// is walked in depth-first post-order, a topological order of the cone,
+// so the work follows the cone, not the netlist; the values are the ones
+// a whole-netlist simulation gives.
 //
 // This is the proof engine behind the compatibility graph's
 // "validation-free" property: simulating a merged trigger cube with Eval3
 // and observing a rare node at its definite rare value proves that every
 // completion of the cube excites the node.
-func Eval3(n *netlist.Netlist, inputs map[netlist.GateID]V3) ([]V3, error) {
-	topo, err := n.TopoOrder()
-	if err != nil {
+func Eval3(n *netlist.Netlist, inputs map[netlist.GateID]V3, roots []netlist.GateID) ([]V3, error) {
+	if _, err := n.TopoOrder(); err != nil {
 		return nil, err
 	}
+	// unseen marks a gate the walk has not reached; the last sweep turns
+	// the ones it never reaches into X.
+	const unseen = V3X + 1
 	vals := make([]V3, len(n.Gates))
 	for i := range vals {
-		vals[i] = V3X
+		vals[i] = unseen
 	}
 	var buf []V3
-	for _, id := range topo {
-		g := &n.Gates[id]
-		switch g.Type {
-		case netlist.Input, netlist.DFF:
-			if v, ok := inputs[id]; ok {
-				vals[id] = v
-			}
-		default:
+	// ^id on the stack means id's fanins are evaluated. The netlist is
+	// acyclic, so no fanin of a gate is still waiting when it is.
+	stack := append([]netlist.GateID(nil), roots...)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if id < 0 {
+			g := &n.Gates[^id]
 			if cap(buf) < len(g.Fanin) {
 				buf = make([]V3, len(g.Fanin))
 			}
@@ -133,7 +140,30 @@ func Eval3(n *netlist.Netlist, inputs map[netlist.GateID]V3) ([]V3, error) {
 			for i, f := range g.Fanin {
 				in[i] = vals[f]
 			}
-			vals[id] = EvalGate3(g.Type, in)
+			vals[^id] = EvalGate3(g.Type, in)
+			continue
+		}
+		if vals[id] != unseen {
+			continue
+		}
+		vals[id] = V3X
+		switch g := &n.Gates[id]; g.Type {
+		case netlist.Input, netlist.DFF:
+			if v, ok := inputs[id]; ok {
+				vals[id] = v
+			}
+		default:
+			stack = append(stack, ^id)
+			for _, f := range g.Fanin {
+				if vals[f] == unseen {
+					stack = append(stack, f)
+				}
+			}
+		}
+	}
+	for i, v := range vals {
+		if v == unseen {
+			vals[i] = V3X
 		}
 	}
 	return vals, nil

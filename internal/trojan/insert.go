@@ -124,25 +124,32 @@ func InsertInstanceContext(ctx context.Context, n *netlist.Netlist, nodes []rare
 }
 
 // inserter splices trojan instances into one golden netlist. It holds
-// what every instance shares — SCOAP observability, the topological
-// order and each gate's place in it, the combinational inputs and
-// outputs — plus word and walk scratch, so an instance costs one copy
-// and one levelization of the netlist however many victim candidates
-// it tries. An inserter is not safe for concurrent use (fork one per
-// goroutine), and its base netlist must not change while the inserter
-// is in use.
+// what every instance shares — SCOAP observability, the combinational
+// inputs, the orderer that derives each instance's order from the
+// base's — plus word and walk scratch, so an instance costs one copy of
+// the netlist and work on the cones it touches, however many victim
+// candidates it tries. An inserter is not safe for concurrent use (fork
+// one per goroutine), and its base netlist must not change while the
+// inserter is in use.
 type inserter struct {
-	base    *netlist.Netlist
-	co      []int64          // SCOAP CO, indexed by GateID
-	topo    []netlist.GateID // the base's topological order
-	pos     []int32          // each gate's index in topo
-	inputs  []netlist.GateID // combinational inputs, in cube order
-	outputs []netlist.GateID // combinational outputs
-	words   []uint64         // one 16-lane word per gate of the instance netlist
-	golden  []uint64         // golden words of outputs
-	reach   []uint32         // reach[v] == epoch: a trigger node is in v's fanout
-	epoch   uint32
-	stack   []netlist.GateID
+	base   *netlist.Netlist
+	co     []int64          // SCOAP CO, indexed by GateID
+	inputs []netlist.GateID // combinational inputs, in cube order
+	order  *netlist.Orderer // derives each instance's order from the base's
+
+	words []uint64 // one 16-lane word per gate of the instance netlist
+	fill  []uint64 // the spot check's fills, by input position
+	reach []uint32 // reach[v] == epoch: a trigger node is in v's fanout
+	epoch uint32
+	// The spot check's cone stamps, relative to coneEpoch e: e marks a
+	// gate of the cone it evaluates outside v's fanout cone, e+1 a gate
+	// of the fanout cone not yet evaluated, e+2 one evaluated.
+	cone      []uint32
+	coneEpoch uint32
+	stack     []netlist.GateID
+	outs      []netlist.GateID // outputs in v's fanout cone
+	golden    []uint64         // their golden words
+	post      []netlist.GateID // the evaluated cone, in post-order
 }
 
 // newInserter analyzes base for instance insertion, levelizing it if
@@ -152,40 +159,28 @@ func newInserter(base *netlist.Netlist) (*inserter, error) {
 	if err != nil {
 		return nil, err
 	}
-	topo, err := base.TopoOrder()
+	order, err := netlist.NewOrderer(base)
 	if err != nil {
 		return nil, err
 	}
-	pos := make([]int32, len(base.Gates))
-	for i, id := range topo {
-		pos[id] = int32(i)
-	}
-	outputs := base.CombOutputs()
-	return &inserter{
-		base:    base,
-		co:      m.CO,
-		topo:    topo,
-		pos:     pos,
-		inputs:  base.CombInputs(),
-		outputs: outputs,
-		golden:  make([]uint64, len(outputs)),
-		reach:   make([]uint32, len(base.Gates)),
-	}, nil
+	in := &inserter{base: base, co: m.CO, inputs: base.CombInputs(), order: order}
+	in.scratch()
+	return in, nil
+}
+
+// scratch allocates the inserter's netlist-sized scratch.
+func (in *inserter) scratch() {
+	in.reach = make([]uint32, len(in.base.Gates))
+	in.cone = make([]uint32, len(in.base.Gates))
+	in.fill = make([]uint64, len(in.inputs))
 }
 
 // fork returns an inserter that shares in's read-only analysis and owns
 // its own scratch, so the two can insert concurrently.
 func (in *inserter) fork() *inserter {
-	return &inserter{
-		base:    in.base,
-		co:      in.co,
-		topo:    in.topo,
-		pos:     in.pos,
-		inputs:  in.inputs,
-		outputs: in.outputs,
-		golden:  make([]uint64, len(in.outputs)),
-		reach:   make([]uint32, len(in.base.Gates)),
-	}
+	f := &inserter{base: in.base, co: in.co, inputs: in.inputs, order: in.order.Fork()}
+	f.scratch()
+	return f
 }
 
 // insert is InsertInstanceContext on the inserter's base netlist.
@@ -248,10 +243,11 @@ func (in *inserter) insert(ctx context.Context, nodes []rare.Node, cube atpg.Cub
 			break
 		}
 	}
-	if err := wirePayload(out, inst, victim, trigOut, ptype, prefix, spec.Payload); err != nil {
+	rewired, err := wirePayload(out, inst, victim, trigOut, ptype, prefix, spec.Payload)
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := out.Levelize(); err != nil {
+	if err := in.order.Levelize(out, rewired); err != nil {
 		return nil, nil, fmt.Errorf("trojan: insertion created a cycle: %w", err)
 	}
 	return out, inst, nil
@@ -299,13 +295,15 @@ func payloadType(kind PayloadKind, activeHigh bool) netlist.GateType {
 	return netlist.Xnor
 }
 
-// wirePayload splices the payload gate for the chosen victim into out.
-func wirePayload(out *netlist.Netlist, inst *Instance, victim, trigOut netlist.GateID, ptype netlist.GateType, prefix string, kind PayloadKind) error {
+// wirePayload splices the payload gate for the chosen victim into out
+// and returns the gates whose fanin it rewired: the victim's former
+// fanouts, none for a leak payload.
+func wirePayload(out *netlist.Netlist, inst *Instance, victim, trigOut netlist.GateID, ptype netlist.GateType, prefix string, kind PayloadKind) ([]netlist.GateID, error) {
 	inst.Victim = out.Gates[victim].Name
 	payloadName := prefix + "payload"
 	payload, err := out.AddGate(payloadName, ptype)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	inst.PayloadGate = payloadName
 	inst.AddedGates = append(inst.AddedGates, payloadName)
@@ -317,24 +315,24 @@ func wirePayload(out *netlist.Netlist, inst *Instance, victim, trigOut netlist.G
 		fanouts := append([]netlist.GateID(nil), out.Gates[victim].Fanout...)
 		for _, f := range fanouts {
 			if err := out.ReplaceFanin(f, victim, payload); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		out.Connect(victim, payload)
 		out.Connect(trigOut, payload)
 		if out.Gates[victim].IsPO {
 			if err := out.ReplacePOMarker(victim, payload); err != nil {
-				return err
+				return nil, err
 			}
 		}
+		return fanouts, nil
 	case PayloadLeakToOutput:
 		out.Connect(victim, payload)
 		out.Connect(trigOut, payload)
 		out.MarkPO(payload)
-	default:
-		return fmt.Errorf("trojan: unknown payload kind %v", kind)
+		return nil, nil
 	}
-	return nil
+	return nil, fmt.Errorf("trojan: unknown payload kind %v", kind)
 }
 
 // spotLanes is how many random completions of the activation cube the
@@ -345,48 +343,122 @@ const spotLanes = 16
 // observable reports whether a payload of type ptype on victim v
 // changes a combinational output of the base netlist under any of the
 // next spotLanes random completions of cube drawn from rng (whole
-// fills, in Cube.Fill order). The fills ride as lanes of one word: a
-// golden pass over the base netlist, the trigger tree of out (the
-// instance netlist before its payload is wired) over the golden words,
-// then a pass from v onward in which every reader of v — fanouts, PO
-// marker, DFF data input — sees the payload word. v must be loop-safe,
-// so the trigger nodes keep their golden values.
+// fills, in Cube.Fill order). The fills ride as lanes of one word. Only
+// outputs in v's fanout cone can change, so the check reads two cones:
+// it marks v's fanout cone (DFFs end it, and a gate driving a PO or a
+// DFF is one of its outputs), evaluates the fanin cone of those outputs
+// and of the trigger's leaves on the golden words, then the trigger
+// tree of out (the instance netlist before its payload is wired), and
+// re-evaluates the fanout cone from v onward with every reader of v
+// seeing the payload word. v must be loop-safe, so the trigger nodes
+// keep their golden values. The draws are made whatever the cones, so
+// every candidate consumes the same fills as a whole-netlist check.
 func (in *inserter) observable(out *netlist.Netlist, v, trigOut netlist.GateID, ptype netlist.GateType, cube atpg.Cube, rng *rand.Rand) bool {
-	if cap(in.words) < len(out.Gates) {
-		in.words = make([]uint64, len(out.Gates))
+	cube.FillLanes(rng, in.fill, spotLanes)
+	gates := in.base.Gates
+	if in.coneEpoch >= ^uint32(0)-3 { // stale stamps could alias
+		clear(in.cone)
+		in.coneEpoch = 0
+	}
+	in.coneEpoch += 3
+	inM, inF, doneF := in.coneEpoch, in.coneEpoch+1, in.coneEpoch+2
+	cone := in.cone
+
+	// v's fanout cone and its outputs.
+	outs := in.outs[:0]
+	stack := append(in.stack[:0], v)
+	cone[v] = inF
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		g := &gates[id]
+		isOut := g.IsPO
+		for _, s := range g.Fanout {
+			if gates[s].Type == netlist.DFF {
+				isOut = true
+			} else if cone[s] != inF {
+				cone[s] = inF
+				stack = append(stack, s)
+			}
+		}
+		if isOut {
+			outs = append(outs, id)
+		}
+	}
+	in.outs = outs
+	if len(outs) == 0 {
+		in.stack = stack
+		return false
+	}
+
+	// The fanin cone of those outputs and of the trigger's leaves, in
+	// post-order (a topological order): ^id on the stack means id's
+	// fanins are done. Inputs read their fill words.
+	if num := len(out.Gates); cap(in.words) < num {
+		// Slack for the next instance's trigger, which may be larger.
+		in.words = make([]uint64, num, num+num/64+64)
 	}
 	w := in.words[:len(out.Gates)]
-	for _, id := range in.inputs {
-		w[id] = 0
+	for i, id := range in.inputs {
+		w[id] = in.fill[i]
 	}
-	for lane := 0; lane < spotLanes; lane++ {
-		filled := cube.Fill(rng)
-		for i, id := range in.inputs {
-			if filled[i] {
-				w[id] |= 1 << lane
+	nb := netlist.GateID(len(gates))
+	stack = append(stack, outs...)
+	for id := nb; int(id) < len(out.Gates); id++ {
+		for _, f := range out.Gates[id].Fanin {
+			if f < nb {
+				stack = append(stack, f)
 			}
 		}
 	}
-	gates := in.base.Gates
-	eval := func(order []netlist.GateID) {
-		for _, id := range order {
-			if g := &gates[id]; g.Type != netlist.Input && g.Type != netlist.DFF {
-				w[id] = sim.EvalWord(g.Type, g.Fanin, w)
+	post := in.post[:0]
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if id < 0 {
+			post = append(post, ^id)
+			continue
+		}
+		switch cone[id] {
+		case inM, doneF:
+			continue
+		case inF:
+			cone[id] = doneF
+		default:
+			cone[id] = inM
+		}
+		if t := gates[id].Type; t == netlist.Input || t == netlist.DFF {
+			continue
+		}
+		stack = append(stack, ^id)
+		for _, f := range gates[id].Fanin {
+			if c := cone[f]; c != inM && c != doneF {
+				stack = append(stack, f)
 			}
 		}
 	}
-	eval(in.topo)
-	for i, o := range in.outputs {
-		in.golden[i] = w[o]
+	in.stack, in.post = stack, post
+
+	for _, id := range post {
+		w[id] = sim.EvalWord(gates[id].Type, gates[id].Fanin, w)
 	}
-	for id := len(gates); id < len(out.Gates); id++ {
+	golden := in.golden[:0]
+	for _, o := range outs {
+		golden = append(golden, w[o])
+	}
+	in.golden = golden
+	for id := nb; int(id) < len(out.Gates); id++ {
 		w[id] = sim.EvalWord(out.Gates[id].Type, out.Gates[id].Fanin, w)
 	}
 	w[v] = sim.EvalWord(ptype, []netlist.GateID{v, trigOut}, w)
-	eval(in.topo[in.pos[v]+1:])
+	for _, id := range post {
+		if cone[id] == doneF && id != v {
+			w[id] = sim.EvalWord(gates[id].Type, gates[id].Fanin, w)
+		}
+	}
 	const mask = 1<<spotLanes - 1
-	for i, o := range in.outputs {
-		if (in.golden[i]^w[o])&mask != 0 {
+	for i, o := range outs {
+		if (golden[i]^w[o])&mask != 0 {
 			return true
 		}
 	}

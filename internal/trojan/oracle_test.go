@@ -132,44 +132,48 @@ func randomSet(rng *rand.Rand, n *netlist.Netlist, k int) []rare.Node {
 	return out
 }
 
-// oracleCases returns c2670 and s1423 with mined cliques (whose cubes
-// fire the trigger on every fill) plus random sets and cubes, and the
-// crafted DFF-trigger circuit.
+// minedCase returns the named circuit with mined cliques (whose cubes
+// fire the trigger on every fill) plus random sets and cubes drawn from
+// seed, DFF trigger nodes included on a sequential circuit.
+func minedCase(t *testing.T, name string, seed int64) oracleCase {
+	t.Helper()
+	n, err := gen.Benchmark(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rare.Extract(n, rare.Config{Vectors: 2000, Threshold: 0.2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := compat.Build(n, rs, compat.BuildConfig{MaxNodes: 64, MaxBacktracks: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc := oracleCase{name: name, n: n}
+	for _, c := range g.FindCliques(compat.MineConfig{MinSize: 2, MaxCliques: 3, Seed: 1}) {
+		oc.sets = append(oc.sets, c.Nodes(g))
+		oc.cubes = append(oc.cubes, c.Cube)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	width := len(n.CombInputs())
+	for k := 1; k <= 3; k++ {
+		oc.sets = append(oc.sets, randomSet(rng, n, k))
+		oc.cubes = append(oc.cubes, randomCube(rng, width, 0.3*float64(k)))
+	}
+	if n.DFFs != nil {
+		// DFF trigger nodes, alone and beside combinational ones.
+		oc.sets = append(oc.sets,
+			[]rare.Node{{ID: n.DFFs[0], RareValue: 1, Prob: 0.1}},
+			append(randomSet(rng, n, 1), rare.Node{ID: n.DFFs[len(n.DFFs)/2], RareValue: 0, Prob: 0.1}))
+	}
+	return oc
+}
+
+// oracleCases returns c2670 and s1423 as mined cases and the crafted
+// DFF-trigger circuit.
 func oracleCases(t *testing.T) []oracleCase {
 	t.Helper()
-	var cases []oracleCase
-	for i, name := range []string{"c2670", "s1423"} {
-		n, err := gen.Benchmark(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := rare.Extract(n, rare.Config{Vectors: 2000, Threshold: 0.2, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := compat.Build(n, rs, compat.BuildConfig{MaxNodes: 64, MaxBacktracks: 200})
-		if err != nil {
-			t.Fatal(err)
-		}
-		oc := oracleCase{name: name, n: n}
-		for _, c := range g.FindCliques(compat.MineConfig{MinSize: 2, MaxCliques: 3, Seed: 1}) {
-			oc.sets = append(oc.sets, c.Nodes(g))
-			oc.cubes = append(oc.cubes, c.Cube)
-		}
-		rng := rand.New(rand.NewSource(int64(i) + 40))
-		width := len(n.CombInputs())
-		for k := 1; k <= 3; k++ {
-			oc.sets = append(oc.sets, randomSet(rng, n, k))
-			oc.cubes = append(oc.cubes, randomCube(rng, width, 0.3*float64(k)))
-		}
-		if n.DFFs != nil {
-			// DFF trigger nodes, alone and beside combinational ones.
-			oc.sets = append(oc.sets,
-				[]rare.Node{{ID: n.DFFs[0], RareValue: 1, Prob: 0.1}},
-				append(randomSet(rng, n, 1), rare.Node{ID: n.DFFs[len(n.DFFs)/2], RareValue: 0, Prob: 0.1}))
-		}
-		cases = append(cases, oc)
-	}
+	cases := []oracleCase{minedCase(t, "c2670", 40), minedCase(t, "s1423", 41)}
 	n, err := bench.ParseString(dffTriggerBench, "dfftrig")
 	if err != nil {
 		t.Fatal(err)
@@ -241,19 +245,20 @@ func TestLoopSafetyMatchesTransitiveFanout(t *testing.T) {
 
 // TestObservableMatchesScalar checks the word-parallel spot-check
 // against the scalar reference on a full infected netlist, for every
-// usable gate of every case. Gates take turns over the trigger-node
-// sets, cubes, payload kinds (flip, force) and both polarities; the
-// crafted circuit runs every combination. A gate that is a trigger node
-// or loop-unsafe under its turn's set takes the next set. PayloadLeak
-// never runs the spot-check (its first candidate is always taken). When
-// neither check sees a difference both must have drawn exactly 16 fills.
+// usable gate of every case, and for a sample of about 40 gates of
+// soc:10000. Gates take turns over the trigger-node sets, cubes,
+// payload kinds (flip, force) and both polarities; the crafted circuit
+// runs every combination. A gate that is a trigger node or loop-unsafe
+// under its turn's set takes the next set. PayloadLeak never runs the
+// spot-check (its first candidate is always taken). When neither check
+// sees a difference both must have drawn exactly 16 fills.
 func TestObservableMatchesScalar(t *testing.T) {
 	kinds := []PayloadKind{PayloadFlip, PayloadForce}
 	type built struct {
 		out     *netlist.Netlist
 		trigOut netlist.GateID
 	}
-	for _, oc := range oracleCases(t) {
+	for _, oc := range append(oracleCases(t), minedCase(t, "soc:10000", 42)) {
 		in, err := newInserter(oc.n)
 		if err != nil {
 			t.Fatal(err)
@@ -291,7 +296,7 @@ func TestObservableMatchesScalar(t *testing.T) {
 			b := pol[s][p]
 			ptype := payloadType(kind, p == 0)
 			trial := b.out.Clone()
-			if err := wirePayload(trial, &Instance{}, v, b.trigOut, ptype, "ht0_", kind); err != nil {
+			if _, err := wirePayload(trial, &Instance{}, v, b.trigOut, ptype, "ht0_", kind); err != nil {
 				t.Fatal(err)
 			}
 			if err := trial.Levelize(); err != nil {
@@ -314,8 +319,11 @@ func TestObservableMatchesScalar(t *testing.T) {
 				outcomes[0]++
 			}
 		}
-		k := 0
-		for v := netlist.GateID(0); int(v) < oc.n.NumGates(); v++ {
+		k, step := 0, max(1, oc.n.NumGates()/40)
+		if oc.n.NumGates() < 5000 {
+			step = 1
+		}
+		for v := netlist.GateID(0); int(v) < oc.n.NumGates(); v += netlist.GateID(step) {
 			for i := range sets {
 				s := (k + i) % len(sets)
 				if !in.usable(v, sets[s]) || !safe[s][v] {

@@ -262,7 +262,8 @@ func BenchmarkScaleEdgeBuild(b *testing.B) {
 // TestScaleSmoke is the CI-sized scale-path end-to-end check: a
 // 10⁴-gate SoC through the full pipeline with the partitioned
 // adjacency on, run under -race by `make ci`. It pins that the scale
-// path stays data-race-free and produces verified instances.
+// path stays data-race-free and produces verified instances, each
+// ordered and levelled as Levelize would.
 func TestScaleSmoke(t *testing.T) {
 	n, err := cghti.Circuit("soc:10000")
 	if err != nil {
@@ -283,5 +284,8 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
+	}
+	for _, b := range res.Benchmarks {
+		cghti.CheckInstanceOrder(t, b.Netlist)
 	}
 }
